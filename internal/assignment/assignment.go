@@ -3,15 +3,16 @@
 // bipartite graph-edit-distance upper bound (Riesen & Bunke) and the
 // star-matching metric distance (Zeng et al.) in internal/ged.
 //
-// The Solver type implements the O(n³) Jonker-style shortest augmenting path
-// variant of the Hungarian (Kuhn–Munkres) algorithm with reusable scratch
-// arenas, plus a threshold-bounded AtMost that aborts via the dual objective.
-// Solve is the historical one-shot entry point, now a thin wrapper over a
-// pooled Solver with bit-identical results. Greedy provides a fast
-// approximate assignment used where optimality is not required.
+// Both solvers implement the O(n³) Jonker-style shortest-augmenting-path
+// variant of the Hungarian (Kuhn–Munkres) algorithm on reusable scratch:
+//
+//   - Solver (and the pooled Solve) runs on [][]float64 and returns the
+//     permutation; its callers' costs are fractional or +Inf.
+//   - IntSolver runs on a flat row-major []int32 matrix with int64 duals and
+//     serves the star kernel: row minima, a warm-started exact total, a cold
+//     partial solve with a dual early exit, and a greedy-plus-polish upper
+//     bound.
 package assignment
-
-import "math"
 
 // Solve returns a minimum-cost assignment for the square cost matrix, as a
 // slice perm where row i is assigned to column perm[i], along with the total
@@ -19,32 +20,10 @@ import "math"
 // empty assignment with cost 0.
 //
 // It borrows a pooled Solver, so the only allocation in steady state is the
-// returned perm slice; callers that do not need the permutation should hold a
-// Solver and use Total or AtMost instead.
+// returned perm slice.
 func Solve(cost [][]float64) (perm []int, total float64) {
-	s := Get()
+	s := solverPool.Get().(*Solver)
 	perm, total = s.Solve(cost)
-	Put(s)
-	return perm, total
-}
-
-// Greedy returns an approximate assignment by repeatedly taking each row's
-// cheapest unused column, and its total cost. It is an upper bound on the
-// optimal cost and runs in O(n²).
-func Greedy(cost [][]float64) (perm []int, total float64) {
-	n := len(cost)
-	perm = make([]int, n)
-	used := make([]bool, n)
-	for i := 0; i < n; i++ {
-		best, bestJ := math.MaxFloat64, -1
-		for j := 0; j < n; j++ {
-			if !used[j] && cost[i][j] < best {
-				best, bestJ = cost[i][j], j
-			}
-		}
-		used[bestJ] = true
-		perm[i] = bestJ
-		total += best
-	}
+	solverPool.Put(s)
 	return perm, total
 }

@@ -39,61 +39,41 @@ type embDim struct {
 	count int32
 }
 
-// spokeKey packs a spoke type into one comparable dimension key.
-func spokeKey(s graph.Spoke) uint64 {
-	return uint64(s.EdgeLabel)<<32 | uint64(s.LeafLabel)
-}
-
 // NewEmbedding computes the filter vector of g.
 func NewEmbedding(g *graph.Graph) *Embedding {
-	return newEmbeddingFromStars(g.Stars())
+	return newStarSig(g).embedding()
 }
 
-// newEmbeddingFromStars computes the filter vector from an existing star
-// decomposition (NewStarSig reuses its stars instead of re-decomposing).
-func newEmbeddingFromStars(stars []graph.Star) *Embedding {
-	e := &Embedding{padPrefix: make([]float64, len(stars)+1)}
-	pad := make([]float64, len(stars))
-	centers := make([]uint64, len(stars))
-	nSpokes := 0
-	for i := range stars {
-		pad[i] = 1 + float64(stars[i].Degree())
-		centers[i] = uint64(stars[i].Center)
-		nSpokes += stars[i].Degree()
+// embedding derives the filter vector from the signature's postings: a
+// center label's postings length is its histogram count, a spoke key's
+// summed multiplicities are its count, and the sorted degrees give the
+// padding prefix sums. Keys are already sorted, so the dimensions come out
+// in the order the encoded form requires.
+func (s *StarSig) embedding() *Embedding {
+	n := len(s.deg)
+	e := &Embedding{padPrefix: make([]float64, n+1)}
+	degs := slices.Clone(s.deg)
+	slices.Sort(degs)
+	for i, d := range degs {
+		e.padPrefix[i+1] = e.padPrefix[i] + (1 + float64(d))
 	}
-	slices.Sort(centers)
-	slices.Sort(pad)
-	for i, c := range pad {
-		e.padPrefix[i+1] = e.padPrefix[i] + c
-	}
-	e.centers = countRuns(centers)
-	spokes := make([]uint64, 0, nSpokes)
-	for i := range stars {
-		for _, s := range stars[i].Spokes {
-			spokes = append(spokes, spokeKey(s))
+	if len(s.centerKeys) > 0 {
+		e.centers = make([]embDim, len(s.centerKeys))
+		for k, l := range s.centerKeys {
+			e.centers[k] = embDim{key: uint64(l), count: s.centerOff[k+1] - s.centerOff[k]}
 		}
 	}
-	slices.Sort(spokes)
-	e.spokes = countRuns(spokes)
+	if len(s.spokeKeys) > 0 {
+		e.spokes = make([]embDim, len(s.spokeKeys))
+		for k, key := range s.spokeKeys {
+			c := int32(0)
+			for _, p := range s.spokePost[s.spokeOff[k]:s.spokeOff[k+1]] {
+				c += p.mult
+			}
+			e.spokes[k] = embDim{key: key, count: c}
+		}
+	}
 	return e
-}
-
-// countRuns collapses a sorted key slice into (key, multiplicity) dimensions.
-func countRuns(keys []uint64) []embDim {
-	if len(keys) == 0 {
-		return nil
-	}
-	dims := make([]embDim, 0, 8)
-	run := keys[0]
-	n := int32(0)
-	for _, k := range keys {
-		if k != run {
-			dims = append(dims, embDim{key: run, count: n})
-			run, n = k, 0
-		}
-		n++
-	}
-	return append(dims, embDim{key: run, count: n})
 }
 
 // Stars returns the number of stars (vertices) of the embedded graph.

@@ -1,7 +1,9 @@
 package ged
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"graphrep/internal/assignment"
@@ -24,66 +26,68 @@ import (
 // itself a metric — so StarDistance satisfies the triangle inequality
 // exactly, which Theorems 3–8 of the paper rely on.
 //
-// Every ground cost is a small non-negative integer, so all arithmetic in the
-// kernel — including the threshold-bounded cascade below — is exact in
-// float64. That integrality is what makes DistanceAtMost(b, τ) equivalent to
+// Every ground cost is a small non-negative integer, and the kernel carries
+// that integrality in its types: cells are int32 (see MaxStarDegree), duals
+// and totals int64, and a real threshold τ enters the solver as ⌊τ⌋. All
+// arithmetic — including the threshold-bounded cascade below — is therefore
+// exact, which is what makes DistanceAtMost(b, τ) equivalent to
 // Distance(b) ≤ τ bit for bit.
 //
 // StarDistance is the default database distance d(g,g') of this library and
 // corresponds to the mapping distance of the paper's GED citation [28].
 func StarDistance(g1, g2 *graph.Graph) float64 {
-	return starDistance(g1.Stars(), g2.Stars())
+	return newStarSig(g1).Distance(newStarSig(g2))
 }
+
+// MaxStarDegree is the largest vertex degree the star kernel accepts. A cost
+// cell is at most 1 + deg_a + deg_b, so degrees up to this bound keep every
+// cell within int32; duals and totals are int64 and cannot overflow for any
+// matrix of such cells. Building a StarSig of a graph with a larger degree
+// panics: such a graph has over 2^30 stars, so its n×n cost matrix could
+// not be allocated anyway, and the check names the cause up front.
+const MaxStarDegree = (math.MaxInt32 - 1) / 2
 
 // StarSig is a precomputed star decomposition, used to amortize the
 // decomposition cost when one graph participates in many distance
 // computations (as every pivot, centroid, and vantage point does). It also
 // carries the graph's filter Embedding, which powers the constant-per-
 // dimension lower bound that opens DistanceAtMost.
+//
+// Star i is vertex i. The decomposition is kept as two postings lists built
+// straight from the graph's CSR adjacency, which is what the cost fill
+// merges: centers maps each center label to the stars carrying it, spokes
+// maps each spoke key (edge label high, leaf label low) to the stars having
+// that spoke with its multiplicity. Both are sorted by key, star ids
+// ascending within a key.
 type StarSig struct {
-	stars []graph.Star
-	emb   *Embedding
-	pack  starPack
+	deg []int32 // deg[i] = degree of star i
+
+	// centerIDs[centerOff[k]:centerOff[k+1]] are the stars whose center label
+	// is centerKeys[k].
+	centerKeys []uint32
+	centerOff  []int32
+	centerIDs  []int32
+
+	// spokePost[spokeOff[k]:spokeOff[k+1]] are the stars with at least one
+	// spoke of key spokeKeys[k], and how many.
+	spokeKeys []uint64
+	spokeOff  []int32
+	spokePost []posting
+
+	emb *Embedding
 }
 
-// starPack is a flat, cache-friendly rendering of a star decomposition for
-// the O(n²) cost-matrix fill: star i's spokes are keys[off[i]:off[i+1]], each
-// spoke packed into one uint64 (edge label high, leaf label low — numeric key
-// order equals the (EdgeLabel, LeafLabel) spoke order, so each run stays
-// sorted), with the center labels in their own dense array. Merging two runs
-// of packed keys replaces the struct-by-struct spoke comparison — one integer
-// compare per step, no pointer chasing through per-star slices.
-type starPack struct {
-	keys    []uint64
-	off     []int32
-	centers []uint32
-}
-
-func packStars(stars []graph.Star) starPack {
-	total := 0
-	for i := range stars {
-		total += len(stars[i].Spokes)
-	}
-	p := starPack{
-		keys:    make([]uint64, 0, total),
-		off:     make([]int32, len(stars)+1),
-		centers: make([]uint32, len(stars)),
-	}
-	for i := range stars {
-		p.centers[i] = uint32(stars[i].Center)
-		for _, sp := range stars[i].Spokes {
-			p.keys = append(p.keys, uint64(sp.EdgeLabel)<<32|uint64(sp.LeafLabel))
-		}
-		p.off[i+1] = int32(len(p.keys))
-	}
-	return p
+// posting is one star's entry in a spoke key's postings list.
+type posting struct {
+	id, mult int32
 }
 
 // NewStarSig precomputes the star decomposition of g along with its filter
 // embedding.
 func NewStarSig(g *graph.Graph) *StarSig {
-	stars := g.Stars()
-	return &StarSig{stars: stars, emb: newEmbeddingFromStars(stars), pack: packStars(stars)}
+	s := newStarSig(g)
+	s.emb = s.embedding()
+	return s
 }
 
 // NewStarSigWithEmbedding precomputes the star decomposition of g but adopts
@@ -92,55 +96,122 @@ func NewStarSig(g *graph.Graph) *StarSig {
 // emb must be g's embedding (they are a pure function of the graph); a nil
 // emb falls back to computing it.
 func NewStarSigWithEmbedding(g *graph.Graph, emb *Embedding) *StarSig {
-	stars := g.Stars()
+	s := newStarSig(g)
 	if emb == nil {
-		emb = newEmbeddingFromStars(stars)
+		emb = s.embedding()
 	}
-	return &StarSig{stars: stars, emb: emb, pack: packStars(stars)}
+	s.emb = emb
+	return s
 }
 
 // Embedding returns the signature's filter vector.
 func (a *StarSig) Embedding() *Embedding { return a.emb }
 
-// Distance computes the star-matching distance between two signatures. The
-// solve runs on pooled scratch, so steady-state calls allocate nothing.
-func (a *StarSig) Distance(b *StarSig) float64 {
-	n := len(a.stars)
-	if len(b.stars) > n {
-		n = len(b.stars)
+// newStarSig builds the postings of g without the embedding. Every grouping
+// is an integer sort or a counting pass: center labels and star ids pack into
+// one uint64, and spoke keys are ranked among the graph's distinct keys and
+// bucketed in vertex order, so each bucket lists its stars ascending with a
+// star's repeated spokes adjacent.
+func newStarSig(g *graph.Graph) *StarSig {
+	n := g.Order()
+	labels := g.VertexLabels()
+	s := &StarSig{deg: make([]int32, n), centerIDs: make([]int32, n)}
+
+	packed := make([]uint64, n)
+	m := 0
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		if d > MaxStarDegree {
+			panic(fmt.Sprintf("ged: vertex %d has degree %d, above MaxStarDegree %d", v, d, MaxStarDegree))
+		}
+		s.deg[v] = int32(d)
+		m += d
+		packed[v] = uint64(labels[v])<<32 | uint64(v)
 	}
-	if n == 0 {
-		return 0
+	slices.Sort(packed)
+	nc := 0
+	for k, x := range packed {
+		if k == 0 || x>>32 != packed[k-1]>>32 {
+			nc++
+		}
 	}
-	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
-	total := sc.solver.Total(sc.cost)
-	putScratch(sc)
-	return total
+	s.centerKeys = make([]uint32, 0, nc)
+	s.centerOff = make([]int32, 0, nc+1)
+	for k, x := range packed {
+		if k == 0 || x>>32 != packed[k-1]>>32 {
+			s.centerKeys = append(s.centerKeys, uint32(x>>32))
+			s.centerOff = append(s.centerOff, int32(k))
+		}
+		s.centerIDs[k] = int32(uint32(x))
+	}
+	s.centerOff = append(s.centerOff, int32(n))
+
+	keys := make([]uint64, 0, m) // one key per half-edge, in vertex order
+	for v := 0; v < n; v++ {
+		to, el := g.Adjacency(v)
+		for h, w := range to {
+			keys = append(keys, uint64(el[h])<<32|uint64(labels[w]))
+		}
+	}
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	ns := len(distinct)
+	rank := make([]int32, m)
+	start := make([]int32, ns+1)
+	for h, key := range keys {
+		r, _ := slices.BinarySearch(distinct, key)
+		rank[h] = int32(r)
+		start[r+1]++
+	}
+	for r := 0; r < ns; r++ {
+		start[r+1] += start[r]
+	}
+	next := slices.Clone(start[:ns])
+	ids := make([]int32, m)
+	h := 0
+	for v := 0; v < n; v++ {
+		for e := int32(0); e < s.deg[v]; e++ {
+			r := rank[h]
+			ids[next[r]] = int32(v)
+			next[r]++
+			h++
+		}
+	}
+	s.spokeKeys = append([]uint64(nil), distinct...)
+	s.spokeOff = make([]int32, ns+1)
+	s.spokePost = make([]posting, 0, m)
+	for r := 0; r < ns; r++ {
+		s.spokeOff[r] = int32(len(s.spokePost))
+		for q := start[r]; q < start[r+1]; q++ {
+			if q > start[r] && ids[q] == ids[q-1] {
+				s.spokePost[len(s.spokePost)-1].mult++
+				continue
+			}
+			s.spokePost = append(s.spokePost, posting{id: ids[q], mult: 1})
+		}
+	}
+	s.spokeOff[ns] = int32(len(s.spokePost))
+	return s
 }
 
-// DistanceWarm computes the same exact distance as Distance through the
-// warm-started solve: one extra memory-speed pass collects the row minima,
-// which then seed the solver's row-reduction duals and zero-reduced pre-
-// matching (assignment.TotalWarm). On the reference workload the pass costs a
-// fraction of what the pre-matched augmentations save, so the bounded
-// kernel's exact computations — cache promotions above all — route through
-// here. The plain Distance path is left classic: it serves the kernel-off
-// baseline, which must remain the untouched reference implementation.
-func (a *StarSig) DistanceWarm(b *StarSig) float64 {
-	n := len(a.stars)
-	if len(b.stars) > n {
-		n = len(b.stars)
-	}
+// Distance computes the exact star-matching distance between two signatures:
+// the cost fill, its row minima, and the warm-started integer solve
+// (assignment.IntSolver.TotalWarm). It is the one exact entry point — the
+// bounded cascade's completed solves, index build, insert and the kernel-off
+// engine all land here or on the same solve. The solve runs on pooled
+// scratch, so steady-state calls allocate nothing.
+func (a *StarSig) Distance(b *StarSig) float64 {
+	n := max(len(a.deg), len(b.deg))
 	if n == 0 {
 		return 0
 	}
 	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
-	rowMins(sc, n)
-	total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
+	fillCost(sc.cost, a, b, n)
+	assignment.RowMins(sc.cost, n, sc.rowMin)
+	total := sc.solver.TotalWarm(sc.cost, n, sc.rowMin)
 	putScratch(sc)
-	return total
+	return float64(total)
 }
 
 // Stage identifies where the bounded distance cascade terminated.
@@ -238,27 +309,20 @@ func (a *StarSig) DistanceAtMostWithLower(b *StarSig, tau, emblo float64) Decisi
 }
 
 // DistanceAtMostTiers is DistanceAtMostWithLower under an explicit tier
-// policy: tryGreedy enables the greedy upper-bound tier, tryDual the
-// dual-abort arming of the exact solve. The lower-bound tiers and the exact
+// policy: tryGreedy enables the greedy upper-bound tier (greedy plus 2-swap
+// polish), tryDual the dual-abort arming. The lower-bound tiers and the exact
 // solve always run; disabling a tier never changes a verdict — a skipped
 // greedy success falls through to the exact solve, which proves the same
-// answer with Lo == Hi, and an unarmed solve simply completes. The metric
-// layer drives the flags from its adaptive tier gates, which retire a tier
-// once its measured fire rate on the live workload drops below the tier's
-// solve-cost breakeven (see metric's greedyGateMinRate / dualGateMinRate): on
-// workloads dominated by far pairs the upper bound almost never lands, and
-// arming the abort forfeits the warm-started solve for an exit that never
-// fires.
+// answer with Lo == Hi, and an unarmed decision simply reports the solve.
+// The metric layer drives the flags from its adaptive tier gates, which
+// retire a tier once its measured fire rate on the live workload drops below
+// the tier's breakeven (see metric's greedyGateMinRate / dualGateMinRate).
 func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
 	return a.decideAtMost(b, tau, emblo, tryGreedy, tryDual)
 }
 
 func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
-	n1, n2 := len(a.stars), len(b.stars)
-	n := n1
-	if n2 > n {
-		n = n2
-	}
+	n := max(len(a.deg), len(b.deg))
 	if n == 0 {
 		return Decision{Leq: 0 <= tau, Stage: StageExact, Lo: 0, Hi: 0}
 	}
@@ -271,27 +335,28 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 		return Decision{Leq: false, Stage: StageEmbedding, Lo: lo, Hi: inf}
 	}
 
-	// Stages 2+3 — fill the cost matrix, then one fused scan produces both
+	// Stages 2+3 — fill the cost matrix, then one scan per row produces both
 	// bounds: every row is assigned somewhere, so Σ_i min_j c[i][j] bounds the
-	// optimum from below (StageRowMin), while the greedy row-by-row assignment
-	// the same cell reads build bounds it from above (StageGreedy). The row
-	// bound is checked first — it is admissible, so its verdicts take
-	// precedence and the greedy total is discarded when it fires. (The
-	// transposed column-minima sum is an equally valid lower bound, but
-	// measuring it needs a second, column-major O(n²) scan of the matrix; on
-	// the reference workload it decided under 1% of the fills that paid for
-	// it, so only the row bound — free inside the greedy scan — is kept.)
+	// optimum from below (StageRowMin), while the greedy row-by-row
+	// assignment, found from each row's minimum, bounds it from above
+	// (StageGreedy). The row bound is checked first — it is admissible, so
+	// its verdicts take precedence and the greedy total is discarded when it
+	// fires. (The transposed column-minima sum is an equally valid lower
+	// bound, but on the reference workload it decided under 1% of the fills
+	// that paid for it.)
+	//
+	// Verdicts compare against tau itself; only the solver's own early exits
+	// see the integer threshold ⌊tau⌋, which decides every integer total
+	// identically.
 	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
-	ub, rowSum := inf, 0.0
+	fillCost(sc.cost, a, b, n)
+	var greedy, rowSum int64
 	if tryGreedy {
-		ub, rowSum = sc.solver.UpperBoundAtMostWithMins(sc.cost, tau, sc.rowMin)
+		greedy, rowSum = sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
 	} else {
-		rowSum = rowMins(sc, n)
+		rowSum = assignment.RowMins(sc.cost, n, sc.rowMin)
 	}
-	if rowSum > lo {
-		lo = rowSum
-	}
+	lo = max(lo, float64(rowSum))
 	if lo > tau {
 		if lo > tau+rowMinDeepMargin {
 			putScratch(sc)
@@ -309,14 +374,34 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 		// τ.) The stage stays StageRowMin — the row bound decided the verdict;
 		// the solve only hardened the interval — with Lo == Hi marking that a
 		// full solve was nonetheless spent.
-		total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
+		total := float64(sc.solver.TotalWarm(sc.cost, n, sc.rowMin))
 		putScratch(sc)
 		return Decision{Leq: total <= tau, Stage: StageRowMin, Lo: total, Hi: total}
 	}
+	// Greedy upper bound: any feasible assignment bounds the optimum from
+	// above, so greedy (with 2-swap polish, exiting the moment the running
+	// total reaches τ) ≤ τ already proves the answer.
+	//
+	// Before the polish runs, the warm start's row and column reduction (see
+	// assignment.IntSolver.Reduce) is taken. Its dual objective is a lower
+	// bound on the optimum, so when it already exceeds τ no feasible
+	// assignment can reach τ and the polish, which could only fail, is
+	// skipped; otherwise the polish reads the reduced costs, which let it
+	// skip most pairs unread. The bound decides nothing itself — stage,
+	// verdict and interval are those of the tier failing — and the exact
+	// solve below resumes from the reduced duals, so the pass costs nothing
+	// when the tier does not land.
+	t := floorThreshold(tau)
+	ub, reduced := inf, false
+	if tryGreedy {
+		if ub = float64(greedy); ub > tau {
+			reduced = true
+			if sc.solver.Reduce(sc.cost, n, sc.rowMin) <= t {
+				ub = float64(sc.solver.PolishAtMost(sc.cost, n, t, greedy))
+			}
+		}
+	}
 	if ub <= tau {
-		// Greedy upper bound: any feasible assignment bounds the optimum from
-		// above, so greedy (with swap polish, exiting the moment the running
-		// total reaches τ) ≤ τ already proves the answer.
 		putScratch(sc)
 		return Decision{Leq: true, Stage: StageGreedy, Lo: lo, Hi: ub}
 	}
@@ -325,57 +410,80 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 	// proven lower bound: its abort needs the optimum over a *prefix* of the
 	// rows to exceed τ, which on the reference workload happens exclusively at
 	// τ − lo ≤ 1 (measured: every dual fire had lo == τ). Only those
-	// decisions get the row reordering the abort depends on — for the rest
-	// the sort is a pure tax on the solve's row-processing order — and only
-	// those run the solve with the abort armed.
-	nearTau := tryDual && tau-lo <= dualGateMargin
-	if nearTau {
-		// Reorder the matrix rows by descending row minimum (the assignment
-		// optimum is permutation-invariant, and integer costs keep the
-		// completed total bit-identical). The Hungarian partial dual bound is
-		// otherwise back-loaded — early rows grab the globally cheap columns,
-		// so the bound crosses τ only in the final rows, exactly where
-		// aborting no longer saves anything. Expensive, conflict-prone rows
-		// first means a far pair pushes the dual objective past τ within the
-		// gated early rows instead.
-		sortRowsByMinDesc(sc, n)
+	// decisions get the row order the abort depends on and run the solve with
+	// the abort armed.
+	armed := tryDual && tau-lo <= dualGateMargin
+	if armed {
+		// Stage 4/5 — the cold solve with the dual exit gated to the first
+		// half of the rows, taken by descending row minimum. The partial dual
+		// bound is otherwise back-loaded — early rows grab the globally cheap
+		// columns, so it crosses τ only in the final rows, where aborting no
+		// longer saves anything; expensive, conflict-prone rows first push it
+		// past τ within the gate instead. A late abort would save little and
+		// forfeit the exact value, which under a memoizing cache and a
+		// threshold sweep is redone at the next threshold. The optimum is
+		// permutation-invariant, so a completed solve is exact.
+		//
+		// The partial dual objective is the optimum over the rows added so
+		// far, which only grows as rows join; the greedy assignment gives the
+		// window's rows distinct columns, so its cost over them bounds that
+		// optimum from above. When it is ≤ τ the exit cannot fire, and the
+		// warm solve below replaces the cold one. With the greedy tier off
+		// the assignment is built here for this bound alone, which costs a
+		// fraction of the cold solve it can save.
+		if !reduced {
+			sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
+		}
+		order := rowsByMinDesc(sc, n)
+		window := n / dualAbortDenominator
+		if sc.solver.GreedyCost(sc.cost, n, order[:window]) > t {
+			total, aborted := sc.solver.TotalAtMostEarly(sc.cost, n, t, order, window)
+			putScratch(sc)
+			if aborted {
+				return Decision{Leq: false, Stage: StageDual, Lo: max(lo, float64(total)), Hi: inf, DualArmed: true}
+			}
+			d := float64(total)
+			return Decision{Leq: d <= tau, Stage: StageExact, Lo: d, Hi: d, DualArmed: true}
+		}
 	}
 
-	// Stage 4/5 — the exact solve. Pinched decisions (nearTau) run the
-	// dual-bounded Hungarian: the early exit is gated to the first half of the
-	// rows, because an abort there skips ≥ ~half the solve while a late abort
-	// would save almost nothing and forfeit the exact value — under a
-	// memoizing cache and a threshold sweep that trades one completed,
-	// cacheable solve for a nearly-full partial solve redone at every
-	// subsequent threshold (the measured cause of the bounded path losing to
-	// the exact baseline on the reference workload). Everything else runs the
-	// warm-started solve, reusing the row minima the fused scan already paid
-	// for as row-reduction duals (see assignment.TotalWarm) — the cascade's
-	// bound computations double as the solver's initialization, an advantage
-	// the plain Distance path does not have.
-	if nearTau {
-		total, aborted := sc.solver.TotalAtMostEarly(sc.cost, tau, n/dualAbortDenominator)
-		putScratch(sc)
-		if aborted {
-			if total > lo {
-				lo = total
-			}
-			return Decision{Leq: false, Stage: StageDual, Lo: lo, Hi: inf, DualArmed: true}
-		}
-		return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total, DualArmed: true}
+	// Stage 5 — the exact solve, warm-started from the row minima (see
+	// assignment.IntSolver.TotalWarm): the cascade's bound computations
+	// double as the solver's initialization.
+	var d int64
+	if reduced {
+		d = sc.solver.TotalReduced(sc.cost, n)
+	} else {
+		d = sc.solver.TotalWarm(sc.cost, n, sc.rowMin)
 	}
-	total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
 	putScratch(sc)
-	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total}
+	total := float64(d)
+	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total, DualArmed: armed}
+}
+
+// floorThreshold maps a real threshold onto the integer one the solver's
+// early exits compare against: ⌊tau⌋, saturated at the int64 range so ±Inf
+// keep their meaning. An integer total x satisfies x ≤ tau ⇔ x ≤ ⌊tau⌋. NaN
+// maps to -1, so no exit fires on it; the verdicts compare in float64 and
+// stay false against NaN as before.
+func floorThreshold(tau float64) int64 {
+	switch {
+	case tau >= 1<<62:
+		return math.MaxInt64
+	case tau < -(1 << 62):
+		return math.MinInt64
+	case tau != tau:
+		return -1
+	}
+	return int64(math.Floor(tau))
 }
 
 // dualAbortDenominator gates the StageDual early exit to the first
-// n/dualAbortDenominator augmented rows of the Hungarian solve. The partial
-// dual objective grows roughly linearly in the augmented rows, so an abort
-// inside the first half fires only when τ is well below the true distance
-// and saves at least half the solve; beyond that the savings no longer cover
-// the cost of losing the exact value (see the stage 4/5 comment in
-// DistanceAtMost).
+// n/dualAbortDenominator augmented rows of the cold solve. The partial dual
+// objective grows roughly linearly in the augmented rows, so an abort inside
+// the first half fires only when τ is well below the true distance and saves
+// at least half the solve; beyond that the savings no longer cover the cost
+// of losing the exact value (see the stage 4/5 comment in decideAtMost).
 const dualAbortDenominator = 2
 
 // rowMinDeepMargin splits row-minima misses into durable and ephemeral
@@ -399,145 +507,120 @@ const rowMinDeepMargin = 32
 // wasted work on the far more common near-miss "yes" decisions.
 const dualGateMargin = 1
 
-// starScratch is the pooled per-solve arena: the flat cost matrix, the
-// per-row minima used to order rows for the dual bound, plus the assignment
+// starScratch is the pooled per-solve arena: the flat row-major cost matrix,
+// the per-row minima, the row order of the dual tier, and the integer
 // solver's own scratch. One scratch serves one solve at a time; concurrency
 // gets distinct instances from the pool.
 type starScratch struct {
-	flat   []float64
-	cost   [][]float64
-	rowMin []float64
-	solver *assignment.Solver
+	cost   []int32
+	rowMin []int32
+	order  []int32
+	solver assignment.IntSolver
 }
 
-var starPool = sync.Pool{
-	New: func() any { return &starScratch{solver: assignment.NewSolver()} },
-}
+var starPool = sync.Pool{New: func() any { return new(starScratch) }}
 
 func getScratch(n int) *starScratch {
 	sc := starPool.Get().(*starScratch)
-	if cap(sc.flat) < n*n {
-		sc.flat = make([]float64, n*n)
+	if cap(sc.cost) < n*n {
+		sc.cost = make([]int32, n*n)
 	}
-	sc.flat = sc.flat[:n*n]
-	if cap(sc.cost) < n {
-		sc.cost = make([][]float64, n)
-	}
-	sc.cost = sc.cost[:n]
-	for i := range sc.cost {
-		sc.cost[i] = sc.flat[i*n : (i+1)*n : (i+1)*n]
-	}
+	sc.cost = sc.cost[:n*n]
 	if cap(sc.rowMin) < n {
-		sc.rowMin = make([]float64, n)
+		sc.rowMin = make([]int32, n)
+		sc.order = make([]int32, n)
 	}
 	sc.rowMin = sc.rowMin[:n]
+	sc.order = sc.order[:n]
 	return sc
 }
 
 func putScratch(sc *starScratch) { starPool.Put(sc) }
 
-// fillCost populates the n×n ground-cost matrix for the padded star multisets.
-func fillCost(sc *starScratch, p1, p2 *starPack, n int) {
-	n1, n2 := len(p1.centers), len(p2.centers)
+// fillCost writes the n×n ground-cost matrix of the padded star multisets
+// into cost, row-major. Every real pair starts at 1 + deg_a + deg_b — the
+// cost with no center and no spoke in common — and one merge of each pair of
+// postings lists then takes off 1 per shared center label and
+// 2·min(multiplicities) per shared spoke key, leaving
+// [center_a ≠ center_b] + |spokes_a Δ spokes_b| in every cell. A padding
+// row or column costs 1 + degree of the real star, and 0 against padding.
+func fillCost(cost []int32, a, b *StarSig, n int) {
+	n1, n2 := len(a.deg), len(b.deg)
 	for i := 0; i < n; i++ {
-		row := sc.cost[i]
+		row := cost[i*n : (i+1)*n : (i+1)*n]
 		if i >= n1 {
-			// Padding row: cost against star j is 1 + degree(j), 0 against a
-			// padding column.
-			for j := 0; j < n2; j++ {
-				row[j] = 1 + float64(p2.off[j+1]-p2.off[j])
+			for j, d := range b.deg {
+				row[j] = 1 + d
 			}
-			for j := n2; j < n; j++ {
-				row[j] = 0
-			}
+			clear(row[n2:])
 			continue
 		}
-		ac := p1.centers[i]
-		ak := p1.keys[p1.off[i]:p1.off[i+1]]
-		for j := 0; j < n2; j++ {
-			row[j] = packedPairCost(ac, ak, p2.centers[j], p2.keys[p2.off[j]:p2.off[j+1]])
+		base := 1 + a.deg[i]
+		for j, d := range b.deg {
+			row[j] = base + d
 		}
 		for j := n2; j < n; j++ {
-			row[j] = 1 + float64(len(ak))
+			row[j] = base
 		}
 	}
-}
-
-// rowMins scans the just-filled (cache-resident) cost matrix for each row's
-// minimum, storing it in sc.rowMin and returning the row-minima sum — the
-// StageRowMin lower bound. It is the greedy-bypassed counterpart of the fused
-// scan in assignment.UpperBoundAtMostWithMins: when the adaptive tier gate has
-// retired the upper bound, this dedicated pass runs at memory speed with none
-// of greedy's assignment bookkeeping, and the minima still feed the dual-tier
-// row ordering and the warm-started solve.
-func rowMins(sc *starScratch, n int) (rowSum float64) {
-	for i := 0; i < n; i++ {
-		row := sc.cost[i]
-		m := row[0]
-		for _, c := range row[1:] {
-			if c < m {
-				m = c
+	ak, bk := a.centerKeys, b.centerKeys
+	for x, y := 0, 0; x < len(ak) && y < len(bk); {
+		switch {
+		case ak[x] < bk[y]:
+			x++
+		case ak[x] > bk[y]:
+			y++
+		default:
+			ids := b.centerIDs[b.centerOff[y]:b.centerOff[y+1]]
+			for _, i := range a.centerIDs[a.centerOff[x]:a.centerOff[x+1]] {
+				row := cost[int(i)*n : int(i)*n+n2]
+				for _, j := range ids {
+					row[j]--
+				}
 			}
+			x++
+			y++
 		}
-		sc.rowMin[i] = m
-		rowSum += m
 	}
-	return rowSum
+	as, bs := a.spokeKeys, b.spokeKeys
+	for x, y := 0, 0; x < len(as) && y < len(bs); {
+		switch {
+		case as[x] < bs[y]:
+			x++
+		case as[x] > bs[y]:
+			y++
+		default:
+			post := b.spokePost[b.spokeOff[y]:b.spokeOff[y+1]]
+			for _, p := range a.spokePost[a.spokeOff[x]:a.spokeOff[x+1]] {
+				row := cost[int(p.id)*n : int(p.id)*n+n2]
+				for _, q := range post {
+					row[q.id] -= 2 * min(p.mult, q.mult)
+				}
+			}
+			x++
+			y++
+		}
+	}
 }
 
-// sortRowsByMinDesc permutes the cost-matrix rows (pointer swaps only) into
-// descending row-minimum order, ties kept in original row order. Insertion
-// sort: n is small relative to the O(n²·spokes) fill that precedes this, and
-// near-sorted inputs (padding rows share one cost) finish in a linear pass.
-func sortRowsByMinDesc(sc *starScratch, n int) {
-	cost, mins := sc.cost, sc.rowMin
+// rowsByMinDesc fills sc.order with the row indices in descending
+// row-minimum order, ties kept in original row order. Insertion sort: n is
+// small next to the O(n²) fill, and near-sorted inputs (padding rows share
+// one cost) finish in a linear pass.
+func rowsByMinDesc(sc *starScratch, n int) []int32 {
+	order, mins := sc.order[:n], sc.rowMin
+	for i := range order {
+		order[i] = int32(i)
+	}
 	for i := 1; i < n; i++ {
-		r, m := cost[i], mins[i]
+		r := order[i]
+		m := mins[r]
 		j := i
-		for j > 0 && mins[j-1] < m {
-			cost[j], mins[j] = cost[j-1], mins[j-1]
+		for j > 0 && mins[order[j-1]] < m {
+			order[j] = order[j-1]
 			j--
 		}
-		cost[j], mins[j] = r, m
+		order[j] = r
 	}
-}
-
-func starDistance(s1, s2 []graph.Star) float64 {
-	n := len(s1)
-	if len(s2) > n {
-		n = len(s2)
-	}
-	if n == 0 {
-		return 0
-	}
-	p1, p2 := packStars(s1), packStars(s2)
-	sc := getScratch(n)
-	fillCost(sc, &p1, &p2, n)
-	total := sc.solver.Total(sc.cost)
-	putScratch(sc)
-	return total
-}
-
-// packedPairCost is the metric ground cost between two non-padding stars in
-// packed form: the discrete metric on center labels plus the multiset
-// symmetric difference |A Δ B| of the sorted spoke-key runs.
-func packedPairCost(centerA uint32, ka []uint64, centerB uint32, kb []uint64) float64 {
-	c := 0.0
-	if centerA != centerB {
-		c = 1
-	}
-	i, j, common := 0, 0, 0
-	for i < len(ka) && j < len(kb) {
-		x, y := ka[i], kb[j]
-		if x == y {
-			common++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
-	return c + float64(len(ka)+len(kb)-2*common)
+	return order
 }

@@ -101,24 +101,6 @@ func TestDistanceAtMostTiersPolicyInvariant(t *testing.T) {
 	}
 }
 
-// DistanceWarm serves cache promotions on the bounded path; it must return
-// the same value as the classic Distance, which stays the kernel-off
-// reference implementation.
-func TestDistanceWarmMatchesDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 300; trial++ {
-		a := NewStarSig(randGraph(rng, 12))
-		b := NewStarSig(randGraph(rng, 12))
-		if got, want := a.DistanceWarm(b), a.Distance(b); got != want {
-			t.Fatalf("trial %d: DistanceWarm %v != Distance %v", trial, got, want)
-		}
-	}
-	empty := NewStarSig(mkGraph(t, nil, nil))
-	if got := empty.DistanceWarm(empty); got != 0 {
-		t.Errorf("empty DistanceWarm = %v, want 0", got)
-	}
-}
-
 // Every cascade stage must be reachable — otherwise a bound has quietly
 // become dead code and the kernel degrades to always-exact.
 func TestBoundedKernelStagesFire(t *testing.T) {

@@ -94,6 +94,14 @@ func (g *Graph) Features() []float64 { return g.features }
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return int(g.adjOff[v+1] - g.adjOff[v]) }
 
+// Adjacency returns vertex v's CSR row: its neighbors (ascending) and the
+// parallel edge labels. The caller must not modify either slice: for a
+// mapped database they alias the read-only mapping.
+func (g *Graph) Adjacency(v int) (to []int32, labels []Label) {
+	lo, hi := g.adjOff[v], g.adjOff[v+1]
+	return g.adjTo[lo:hi:hi], g.adjLabel[lo:hi:hi]
+}
+
 // Neighbors calls fn for every neighbor of v (ascending) with the connecting
 // edge label.
 func (g *Graph) Neighbors(v int, fn func(w int, l Label)) {

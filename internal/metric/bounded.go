@@ -287,24 +287,6 @@ func (c *Cache) Within(a, b graph.ID, theta float64) bool {
 	return c.boundedDecide(a, b, theta).leq
 }
 
-// exactWarmer is implemented by metrics whose exact distance can run through
-// the warm-started solve (the star metric's distanceExactWarm). The Cache's
-// promotions — exact computations issued from inside the bounded kernel —
-// prefer it; plain Distance calls are untouched, keeping the kernel-off
-// baseline on the classic solve.
-type exactWarmer interface {
-	distanceExactWarm(a, b graph.ID) float64
-}
-
-// exactDistance computes the exact distance for kernel-internal use,
-// routing through the warm solve when m supports it.
-func exactDistance(m Metric, a, b graph.ID) float64 {
-	if ew, ok := m.(exactWarmer); ok {
-		return ew.distanceExactWarm(a, b)
-	}
-	return m.Distance(a, b)
-}
-
 // promoteProbes is the undecided-repeat count at which the Cache stops
 // issuing partial cascades for a pair and computes its exact distance: the
 // first repeat probe inside the stored interval (second miss overall) pays
@@ -345,7 +327,7 @@ func (c *Cache) boundedDecide(a, b graph.ID, theta float64) decision {
 			// computation.
 			c.misses.Add(1)
 			if sh.bumpProbes(k) >= promoteProbes {
-				d := exactDistance(c.inner, a, b)
+				d := c.inner.Distance(a, b)
 				sh.store(k, d, d)
 				return decision{leq: d <= theta, pruned: false, lo: d, hi: d}
 			}

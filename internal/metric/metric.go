@@ -233,26 +233,6 @@ func (m *starMetric) Distance(a, b graph.ID) float64 {
 	return sa.Distance(sb)
 }
 
-// distanceExactWarm is Distance through the warm-started solve
-// (ged.StarSig.DistanceWarm); same value, same exactValues accounting. It
-// implements exactWarmer, so the Cache routes its promotions here — they are
-// bounded-kernel-internal work, while the public Distance stays on the
-// classic solve the kernel-off baseline is measured against.
-func (m *starMetric) distanceExactWarm(a, b graph.ID) float64 {
-	if a == b {
-		return 0
-	}
-	m.exactValues.Add(1)
-	sa, sb, _, _ := m.pairState(a, b)
-	if sa == nil {
-		sa = m.sig(a)
-	}
-	if sb == nil {
-		sb = m.sig(b)
-	}
-	return sa.DistanceWarm(sb)
-}
-
 // BipartiteGED returns the Riesen–Bunke bipartite GED upper bound as a
 // metric-interface distance over db. Note: unlike Star, bipartite GED can
 // violate the triangle inequality slightly; it is provided for ablations.
