@@ -44,7 +44,6 @@ func TestCascadeNoDeadTierOnReferenceWorkload(t *testing.T) {
 		{"embedding", prune.Embedding},
 		{"rowmin", prune.RowMin},
 		{"greedy", prune.Greedy},
-		{"dual", prune.Dual},
 		{"exact", prune.BoundedExact},
 	} {
 		if tier.fired == 0 {

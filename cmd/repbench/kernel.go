@@ -36,13 +36,11 @@ type KernelPrune struct {
 	// (shallow miss); see metric.PruneStats.
 	RowMinSolved int64 `json:"rowMinSolved"`
 	Greedy       int64 `json:"greedy"`
-	Dual         int64 `json:"dual"`
 	BoundedExact int64 `json:"boundedExact"`
-	// GreedyTried / DualArmed are the adaptive tier gates' attempt
-	// denominators (see metric.PruneStats); a denominator far below
-	// BoundedExact means the gate retired the tier mid-run.
+	// GreedyTried is the adaptive greedy gate's attempt denominator (see
+	// metric.PruneStats); a denominator far below BoundedExact means the
+	// gate retired the tier mid-run.
 	GreedyTried int64 `json:"greedyTried"`
-	DualArmed   int64 `json:"dualArmed"`
 }
 
 // KernelBenchSide is one configuration's measurements. Full solves are
@@ -251,10 +249,8 @@ func runKernelSide(db *graphrep.Database, rel graphrep.Relevance, k int, opts gr
 		RowMin:       snap.Prune.RowMin,
 		RowMinSolved: snap.Prune.RowMinSolved,
 		Greedy:       snap.Prune.Greedy,
-		Dual:         snap.Prune.Dual,
 		BoundedExact: snap.Prune.BoundedExact,
 		GreedyTried:  snap.Prune.GreedyTried,
-		DualArmed:    snap.Prune.DualArmed,
 	}
 	return side, res, nil
 }

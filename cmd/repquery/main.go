@@ -168,11 +168,11 @@ func main() {
 		}
 		fmt.Printf("  NB-Index queries       %d\n", snap.Queries)
 		qt := snap.QueryTotals
-		fmt.Printf("  per-query work totals  pq pops=%d verified leaves=%d candidate scans=%d exact distances=%d pruned distances=%d\n",
+		fmt.Printf("  per-query work totals  frontier visits=%d verified leaves=%d candidate scans=%d exact distances=%d pruned distances=%d\n",
 			qt.PQPops, qt.VerifiedLeaves, qt.CandidateScans, qt.ExactDistances, qt.PrunedDistances)
 		if pr := snap.Prune; pr.Pruned()+pr.FullSolves() > 0 {
-			fmt.Printf("  bound cascade          embedding=%d rowmin=%d greedy=%d dual=%d full solves=%d\n",
-				pr.Embedding, pr.RowMin, pr.Greedy, pr.Dual, pr.FullSolves())
+			fmt.Printf("  bound cascade          embedding=%d rowmin=%d greedy=%d full solves=%d\n",
+				pr.Embedding, pr.RowMin, pr.Greedy, pr.FullSolves())
 		}
 	}
 }

@@ -197,7 +197,7 @@ type Options struct {
 	Workers int
 	// Shards partitions the database into that many contiguous ID ranges,
 	// each owning its own vantage rows and NB-Tree, built concurrently and
-	// queried by a scatter-gather coordinator. Values ≤ 1 mean one shard
+	// queried by one scatter-gather loop. Values ≤ 1 mean one shard
 	// (the classic layout); counts beyond the database size are clamped.
 	// Answers are byte-identical for any shard count — shards share one
 	// global vantage point set and θ grid, so bounds compose exactly — while
@@ -209,7 +209,7 @@ type Options struct {
 	// DisableBoundedKernel turns off the threshold-aware distance kernel:
 	// every candidate test d(q, g) ≤ θ falls back to a full exact distance
 	// computation instead of the bound cascade (precomputed-embedding filter,
-	// row-minima, greedy upper bound, Hungarian dual early exit).
+	// row-minima, greedy upper bound).
 	// Answers, sweeps, and index bytes are byte-identical either way — the
 	// kernel only ever changes how a decision is reached, never the decision —
 	// so this switch exists for baseline benchmarks (repbench -bench-kernel
@@ -550,8 +550,8 @@ func (e *Engine) Insert(g *Graph) error {
 	return nil
 }
 
-// QueryStats describes the work one indexed TopK call performed: priority
-// queue pops, exactly verified leaves, candidate scans, and exact distance
+// QueryStats describes the work one indexed TopK call performed: frontier
+// visits, exactly verified leaves, candidate scans, and exact distance
 // computations — the efficiency measures of the paper's §8.
 type QueryStats = nbindex.QueryStats
 
@@ -622,11 +622,6 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 			func() int64 { return stages.PruneStats().Greedy }); err != nil {
 			return nil, err
 		}
-		if err := reg.NewCounterFunc("graphrep_metric_prune_dual_total",
-			"Threshold tests resolved by the Hungarian dual-objective early exit.",
-			func() int64 { return stages.PruneStats().Dual }); err != nil {
-			return nil, err
-		}
 		if err := reg.NewCounterFunc("graphrep_metric_bounded_exact_total",
 			"Threshold tests that needed a completed Hungarian solve.",
 			func() int64 { return stages.PruneStats().BoundedExact }); err != nil {
@@ -635,11 +630,6 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		if err := reg.NewCounterFunc("graphrep_metric_greedy_tried_total",
 			"Threshold tests on which the greedy upper-bound tier ran (adaptive gate attempt denominator).",
 			func() int64 { return stages.PruneStats().GreedyTried }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_dual_armed_total",
-			"Exact solves run with the dual abort armed (adaptive gate attempt denominator).",
-			func() int64 { return stages.PruneStats().DualArmed }); err != nil {
 			return nil, err
 		}
 	}
@@ -915,7 +905,7 @@ func (e *Engine) Explain(rel Relevance, answer []ID, theta float64) map[ID][]ID 
 // Session is the reusable initialization for one relevance function: any
 // number of TopK calls at different θ (interactive refinement) amortize it.
 type Session struct {
-	s shard.QuerySession
+	s *shard.Session
 }
 
 // NewSession prepares a session for the relevance function.
@@ -945,8 +935,8 @@ func (e *Engine) NewSessionContext(ctx context.Context, rel Relevance) (*Session
 func (s *Session) TopK(theta float64, k int) (*Result, error) { return s.s.TopK(theta, k) }
 
 // TopKContext is TopK with cancellation: the search checks ctx at every
-// greedy pick and periodically inside the best-first loop, returning
-// ctx.Err() promptly after it fires.
+// greedy pick and before every verification, returning ctx.Err() promptly
+// after it fires.
 func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*Result, error) {
 	return s.s.TopKContext(ctx, theta, k)
 }

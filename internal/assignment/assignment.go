@@ -9,9 +9,8 @@
 //   - Solver (and the pooled Solve) runs on [][]float64 and returns the
 //     permutation; its callers' costs are fractional or +Inf.
 //   - IntSolver runs on a flat row-major []int32 matrix with int64 duals and
-//     serves the star kernel: row minima, a warm-started exact total, a cold
-//     partial solve with a dual early exit, and a greedy-plus-polish upper
-//     bound.
+//     serves the star kernel: row minima, a warm-started exact total, and a
+//     greedy-plus-polish upper bound.
 package assignment
 
 // Solve returns a minimum-cost assignment for the square cost matrix, as a

@@ -64,14 +64,10 @@ func (s *IntSolver) grow(n int) {
 
 // augment adds the free row cur to the matching along a shortest augmenting
 // path in reduced costs, then moves the duals so every matched cell stays
-// tight. It returns the path length, which is also the amount by which the
-// dual objective rises: starting from zero duals, the running sum of the
-// returned lengths is the optimal cost of the rows added so far — the
-// partial dual objective the early exit compares. The step is correct for
-// any partial matching that satisfies complementary slackness under feasible
-// duals, whichever rows built it, which is what lets TotalWarm pre-match
-// rows before augmenting.
-func (s *IntSolver) augment(cost []int32, n, cur int) int64 {
+// tight. The step is correct for any partial matching that satisfies
+// complementary slackness under feasible duals, whichever rows built it,
+// which is what lets TotalWarm pre-match rows before augmenting.
+func (s *IntSolver) augment(cost []int32, n, cur int) {
 	u, v, dist := s.u, s.v[:n], s.dist[:n]
 	row4col, col4row, path := s.row4col[:n], s.col4row, s.path[:n]
 	rem := s.remaining[:n]
@@ -123,7 +119,6 @@ func (s *IntSolver) augment(cost []int32, n, cur int) int64 {
 		}
 	}
 	s.scanned = scanned
-	return minVal
 }
 
 // total sums the matched cells.
@@ -180,8 +175,8 @@ func (s *IntSolver) Reduce(cost []int32, n int, rowMin []int32) (bound int64) {
 // TotalReduced finishes the solve Reduce started and returns the optimum.
 // Each row claims the first free column of zero reduced cost — a match that
 // satisfies complementary slackness outright — and only the rows that find
-// none run the augmentation. Only PolishAtMost and GreedyCost, which leave
-// the solve's state alone, may run on the solver between the two calls.
+// none run the augmentation. Only PolishAtMost, which leaves the solve's
+// state alone, may run on the solver between the two calls.
 func (s *IntSolver) TotalReduced(cost []int32, n int) int64 {
 	if n == 0 {
 		return 0
@@ -205,38 +200,13 @@ func (s *IntSolver) TotalReduced(cost []int32, n int) int64 {
 	return s.total(cost, n)
 }
 
-// TotalAtMostEarly is the cold solve — zero duals, one augmentation per row,
-// rows taken in the given order (nil means 0..n-1) — with a dual early exit
-// gated to the first abortRows rows: it stops as soon as the optimum of the
-// rows added so far, the partial dual objective, exceeds tau, and returns
-// that value with aborted true, a proven lower bound on the full optimum
-// above tau. Past the gate the solve always runs to completion and returns
-// the optimum. abortRows ≤ 0 never aborts. Cells must be non-negative: only
-// then is a prefix's optimum a lower bound on the whole.
-func (s *IntSolver) TotalAtMostEarly(cost []int32, n int, tau int64, order []int32, abortRows int) (total int64, aborted bool) {
-	if n == 0 {
-		return 0, false
-	}
-	s.grow(n)
-	for k := 0; k < n; k++ {
-		i := k
-		if order != nil {
-			i = int(order[k])
-		}
-		if total += s.augment(cost, n, i); k < abortRows && total > tau {
-			return total, true
-		}
-	}
-	return total, false
-}
-
 // GreedyWithMins builds the greedy assignment — each row, in order, takes
 // its cheapest free column, ties to the lowest index — and returns its cost,
 // an upper bound on the optimum. It also stores each row's minimum in rowMin
 // and returns their sum, the lower bound RowMins computes: while a column at
 // a row's minimum is free, the first such column is the pick, so most rows
 // need only the minimum and a short scan for it. The assignment stays in the
-// solver for PolishAtMost and GreedyCost.
+// solver for PolishAtMost.
 func (s *IntSolver) GreedyWithMins(cost []int32, n int, rowMin []int32) (greedy, rowSum int64) {
 	if n == 0 {
 		return 0, 0
@@ -268,17 +238,6 @@ func (s *IntSolver) GreedyWithMins(cost []int32, n int, rowMin []int32) (greedy,
 		greedy += int64(row[bj])
 	}
 	return greedy, rowSum
-}
-
-// GreedyCost sums the cells the assignment GreedyWithMins built — as
-// PolishAtMost left it — gives the listed rows: a feasible assignment of
-// those rows to distinct columns, so an upper bound on their optimum.
-func (s *IntSolver) GreedyCost(cost []int32, n int, rows []int32) int64 {
-	var total int64
-	for _, i := range rows {
-		total += int64(cost[int(i)*n+int(s.asg[i])])
-	}
-	return total
 }
 
 // cheapestFree returns the cheapest column of row not yet taken, ties to the

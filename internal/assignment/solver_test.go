@@ -47,6 +47,19 @@ func intOptimum(rows [][]float64) int64 {
 	return int64(opt)
 }
 
+// coldTotal is the cold solve: zero duals, then one augmentation per row in
+// order — the reference the warm start must reproduce.
+func coldTotal(s *IntSolver, cost []int32, n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	s.grow(n)
+	for i := 0; i < n; i++ {
+		s.augment(cost, n, i)
+	}
+	return s.total(cost, n)
+}
+
 // upperBound is the cascade's greedy tier in one call: the greedy build with
 // the row minima, then — unless the row bound already exceeds tau or the
 // greedy total is ≤ tau — the reduction and the polish. The polish runs even
@@ -118,95 +131,6 @@ func upperBoundRef(cost [][]float64, tau float64) float64 {
 	return total
 }
 
-// The dual early exit decides exactly the optimum's comparison with tau:
-// over every row, the solve aborts iff the optimum exceeds tau, an abort
-// returns a lower bound above tau, and a completed solve returns the optimum
-// itself — for tau right at the optimum too.
-func TestAtMostMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var s IntSolver
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		flat, rows := integralCost(r, n, 30)
-		opt := intOptimum(rows)
-		for _, tau := range []int64{opt - 1, opt, opt + 1, 0, opt / 2, opt * 2, -1} {
-			total, aborted := s.TotalAtMostEarly(flat, n, tau, nil, n)
-			if aborted != (opt > tau) {
-				t.Logf("n=%d tau=%d opt=%d: aborted=%v", n, tau, opt, aborted)
-				return false
-			}
-			if aborted && (total <= tau || total > opt) {
-				t.Logf("n=%d tau=%d opt=%d: abort bound %d", n, tau, opt, total)
-				return false
-			}
-			if !aborted && total != opt {
-				t.Logf("n=%d tau=%d: completed total %d != optimum %d", n, tau, total, opt)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-// With the rows taken in any order and the exit gated to a prefix of them,
-// the early solve still aborts only above tau with a bound no higher than
-// the optimum, and otherwise completes to the optimum itself.
-func TestAtMostEarlyRowOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	var s IntSolver
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(12)
-		flat, rows := integralCost(rng, n, 1+rng.Intn(30))
-		opt := intOptimum(rows)
-		order := make([]int32, n)
-		for i, r := range rng.Perm(n) {
-			order[i] = int32(r)
-		}
-		for _, tau := range []int64{-1, 0, opt / 2, opt - 1, opt} {
-			total, aborted := s.TotalAtMostEarly(flat, n, tau, order, n/2)
-			if aborted && (total <= tau || total > opt) || !aborted && total != opt {
-				t.Fatalf("trial %d n=%d tau=%d opt=%d: got %d, aborted %v", trial, n, tau, opt, total, aborted)
-			}
-		}
-	}
-}
-
-func TestAtMostEmpty(t *testing.T) {
-	var s IntSolver
-	for _, tau := range []int64{0, -1} {
-		if total, aborted := s.TotalAtMostEarly(nil, 0, tau, nil, 1); total != 0 || aborted {
-			t.Errorf("TotalAtMostEarly(nil, tau=%d) = %v, %v, want 0, false", tau, total, aborted)
-		}
-	}
-}
-
-// The dual early exit must actually fire on a clearly-over-threshold matrix;
-// otherwise the bounded path silently degrades to a full solve.
-func TestAtMostAborts(t *testing.T) {
-	n := 16
-	cost := make([]int32, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			cost[i*n+j] = int32(10 + (i+j)%5)
-		}
-	}
-	var s IntSolver
-	total, aborted := s.TotalAtMostEarly(cost, n, 1, nil, n)
-	if !aborted {
-		t.Fatal("dual early exit did not fire for tau far below the optimum (≥ 160)")
-	}
-	if total <= 1 {
-		t.Errorf("abort bound %d does not exceed tau", total)
-	}
-	if total, aborted := s.TotalAtMostEarly(cost, n, 1, nil, 0); aborted || total < 160 {
-		t.Errorf("an empty abort window returned %d, %v; want the completed optimum", total, aborted)
-	}
-}
-
 // The greedy build's total must be exactly the plain greedy assignment's cost.
 func TestGreedyTotalMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -269,7 +193,7 @@ func TestTotalWarmMatchesTotal(t *testing.T) {
 				rowMin[i] = min(rowMin[i], c)
 			}
 		}
-		want, _ := cold.TotalAtMostEarly(flat, n, math.MaxInt64, nil, n)
+		want := coldTotal(&cold, flat, n)
 		if got := warm.TotalWarm(flat, n, rowMin); got != want || got != intOptimum(rows) {
 			t.Logf("seed=%d n=%d mod=%d: TotalWarm %v, cold %v, float %v", seed, n, modulus, got, want, intOptimum(rows))
 			return false
@@ -363,7 +287,7 @@ func TestSolverReuseAcrossSizes(t *testing.T) {
 			t.Fatalf("n=%d: reused Solver total %v != fresh Solve %v", n, got, want)
 		}
 		flat, rows := integralCost(rng, n, 30)
-		if got, _ := is.TotalAtMostEarly(flat, n, math.MaxInt64, nil, n); got != intOptimum(rows) {
+		if got := coldTotal(&is, flat, n); got != intOptimum(rows) {
 			t.Fatalf("n=%d: reused IntSolver total %v != fresh Solve %v", n, got, intOptimum(rows))
 		}
 	}
@@ -394,9 +318,6 @@ func TestSolverAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { is.TotalWarm(flat, n, rowMin) }); allocs != 0 {
 		t.Errorf("IntSolver.TotalWarm allocates %v per op after warmup, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { is.TotalAtMostEarly(flat, n, 1e9, nil, n) }); allocs != 0 {
-		t.Errorf("IntSolver.TotalAtMostEarly allocates %v per op after warmup, want 0", allocs)
-	}
 }
 
 func BenchmarkSolverTotal32(b *testing.B) {
@@ -409,53 +330,5 @@ func BenchmarkSolverTotal32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.TotalWarm(flat, 32, rowMin)
-	}
-}
-
-func BenchmarkAtMost32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	flat, rows := integralCost(rng, 32, 100)
-	var s IntSolver
-	opt := intOptimum(rows)
-	b.Run("prune", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.TotalAtMostEarly(flat, 32, opt/4, nil, 32)
-		}
-	})
-	b.Run("exact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.TotalAtMostEarly(flat, 32, opt, nil, 32)
-		}
-	})
-}
-
-// The greedy assignment gives any set of rows distinct columns, so its cost
-// over a window of rows bounds the window's optimum — the partial dual
-// objective of the cold solve — from above: at that cost the early exit never
-// fires. The cascade relies on this to skip the cold solve.
-func TestGreedyCostBoundsWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	var s, cold IntSolver
-	rowMin := make([]int32, 16)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(14)
-		flat, _ := integralCost(rng, n, 1+rng.Intn(30))
-		greedy, _ := s.GreedyWithMins(flat, n, rowMin)
-		if trial%2 == 0 {
-			s.Reduce(flat, n, rowMin)
-			s.PolishAtMost(flat, n, -1, greedy)
-		}
-		order := make([]int32, n)
-		for i, r := range rng.Perm(n) {
-			order[i] = int32(r)
-		}
-		for k := 1; k <= n; k++ {
-			w := s.GreedyCost(flat, n, order[:k])
-			if _, aborted := cold.TotalAtMostEarly(flat, n, w, order, k); aborted {
-				t.Fatalf("trial %d n=%d k=%d: window aborted at its greedy cost %d", trial, n, k, w)
-			}
-		}
 	}
 }

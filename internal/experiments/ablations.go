@@ -11,7 +11,6 @@ import (
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
-	"graphrep/internal/nbindex"
 )
 
 // The ext-* experiments are not paper artifacts: they are the ablations of
@@ -20,8 +19,9 @@ import (
 // can regenerate them.
 
 // RunExtAblation measures each NB-Index design choice in isolation on the
-// DUD-like dataset: the Theorems 6–8 batch updates, the vantage point
-// count, and the NB-Tree branching factor.
+// DUD-like dataset: the vantage point count and the NB-Tree branching
+// factor, then the update and selection steps of Alg. 1 and the distance
+// function.
 func RunExtAblation(w io.Writer, s Scale) error {
 	fx, err := NewFixture("dud", s.N, s, 2000)
 	if err != nil {
@@ -29,66 +29,51 @@ func RunExtAblation(w io.Writer, s Scale) error {
 	}
 	header(w, "ext-ablation: NB-Index design choices", fx, s)
 
-	// 1. Batch updates on/off (identical answers; different search work).
-	ix, err := fx.NBIndex(s)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-24s %12s %14s %12s\n", "variant", "time ms", "verifications", "π")
-	for _, on := range []bool{true, false} {
-		fx.ResetDistances()
-		start := time.Now()
-		sess := ix.NewSession(fx.Rel)
-		sess.SetBatchUpdates(on)
-		res, err := sess.TopK(fx.Theta, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "batch-updates=%-10t %12.1f %14d %12.3f\n",
-			on, ms(time.Since(start)), sess.LastStats().VerifiedLeaves, res.Power)
-	}
-
-	// 2. Vantage point count: query-phase distances vs |V|.
-	fmt.Fprintf(w, "\n%-8s %14s %12s\n", "|V|", "query dists", "time ms")
+	// 1. Vantage point count: query-phase distances vs |V|.
+	fmt.Fprintf(w, "%-8s %14s %12s\n", "|V|", "query dists", "time ms")
 	for _, nv := range []int{1, 2, 4, 8, 16} {
 		if nv > fx.DB.Len() {
 			break
 		}
-		ixV, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: nv, Branching: 4, ThetaGrid: fx.Grid,
-		}, rand.New(rand.NewSource(2001)))
+		ixV, err := fx.buildIndex(nv, 4, fx.Grid, 2001)
 		if err != nil {
 			return err
 		}
 		fx.ResetDistances()
 		before := fx.Count.Count()
 		start := time.Now()
-		if _, err := ixV.NewSession(fx.Rel).TopK(fx.Theta, 10); err != nil {
+		sess, err := ixV.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
+		if _, err := sess.TopK(fx.Theta, 10); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-8d %14d %12.1f\n", nv, fx.Count.Count()-before, ms(time.Since(start)))
 	}
 
-	// 3. Branching factor: build cost and query cost vs b.
+	// 2. Branching factor: build cost and query cost vs b.
 	fmt.Fprintf(w, "\n%-8s %14s %14s\n", "b", "build ms", "query ms")
 	for _, b := range []int{2, 4, 8, 16, 40} {
 		start := time.Now()
-		ixB, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: s.NumVPs, Branching: b, ThetaGrid: fx.Grid,
-		}, rand.New(rand.NewSource(2002)))
+		ixB, err := fx.buildIndex(s.NumVPs, b, fx.Grid, 2002)
 		if err != nil {
 			return err
 		}
 		build := time.Since(start)
 		fx.ResetDistances()
 		start = time.Now()
-		if _, err := ixB.NewSession(fx.Rel).TopK(fx.Theta, 10); err != nil {
+		sess, err := ixB.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
+		if _, err := sess.TopK(fx.Theta, 10); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-8d %14.1f %14.1f\n", b, ms(build), ms(time.Since(start)))
 	}
 
-	// 4. Update-step work: literal Alg. 1 with and without the Theorem 3
+	// 3. Update-step work: literal Alg. 1 with and without the Theorem 3
 	// restriction, and the CELF lazy evaluation of the selection step.
 	mt, err := fx.MTree()
 	if err != nil {
@@ -111,7 +96,7 @@ func RunExtAblation(w io.Writer, s Scale) error {
 	fmt.Fprintf(w, "selection-step ablation: CELF evaluations=%d vs plain %d\n",
 		lazyStats.Evaluations, len(rel)*len(lazyRes.Answer))
 
-	// 5. Distance function: star metric vs bipartite GED cost and agreement.
+	// 4. Distance function: star metric vs bipartite GED cost and agreement.
 	fmt.Fprintf(w, "\n%-12s %14s\n", "distance", "ns/computation")
 	rng := rand.New(rand.NewSource(2003))
 	pairs := make([][2]graph.ID, 200)

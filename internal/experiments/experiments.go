@@ -25,6 +25,7 @@ import (
 	"graphrep/internal/metric"
 	"graphrep/internal/mtree"
 	"graphrep/internal/nbindex"
+	"graphrep/internal/shard"
 	"graphrep/internal/stats"
 )
 
@@ -120,7 +121,7 @@ type Fixture struct {
 
 	cache *metric.Cache
 
-	nb  *nbindex.Index
+	nb  *shard.Set
 	ct  *ctree.Tree
 	mt  *mtree.Tree
 	mat *metric.Matrix
@@ -192,19 +193,24 @@ func (fx *Fixture) sampleDistances(pairs int, rng *rand.Rand) []float64 {
 }
 
 // NBIndex lazily builds (and memoizes) the NB-Index.
-func (fx *Fixture) NBIndex(s Scale) (*nbindex.Index, error) {
+func (fx *Fixture) NBIndex(s Scale) (*shard.Set, error) {
 	if fx.nb == nil {
-		ix, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs:    s.NumVPs,
-			Branching: 4,
-			ThetaGrid: fx.Grid,
-		}, rand.New(rand.NewSource(fx.Seed+2)))
+		ix, err := fx.buildIndex(s.NumVPs, 4, fx.Grid, fx.Seed+2)
 		if err != nil {
 			return nil, err
 		}
 		fx.nb = ix
 	}
 	return fx.nb, nil
+}
+
+// buildIndex builds a one-shard NB-Index over the fixture's database with
+// numVPs vantage points, NB-Tree fan-out branching and θ grid grid, its
+// randomized choices drawn from seed.
+func (fx *Fixture) buildIndex(numVPs, branching int, grid []float64, seed int64) (*shard.Set, error) {
+	return shard.Build(fx.DB, fx.M, shard.Options{
+		Shards: 1, NumVPs: numVPs, Branching: branching, ThetaGrid: grid,
+	}, rand.New(rand.NewSource(seed)))
 }
 
 // CTree lazily builds the closure-tree baseline index.
@@ -292,7 +298,10 @@ func (fx *Fixture) RunNBIndex(s Scale, theta float64, k int) (RunResult, error) 
 		return RunResult{}, err
 	}
 	return fx.measure("nbindex", func() (*core.Result, error) {
-		sess := ix.NewSession(fx.Rel)
+		sess, err := ix.NewSession(fx.Rel)
+		if err != nil {
+			return nil, err
+		}
 		return sess.TopK(theta, k)
 	})
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"graphrep/internal/metric"
-	"graphrep/internal/nbindex"
 )
 
 // RunFig6kConstruction reproduces Fig. 6(k): NB-Index construction time
@@ -26,9 +24,7 @@ func RunFig6kConstruction(w io.Writer, s Scale) error {
 		}
 		before := fx.Count.Count()
 		start := time.Now()
-		ix, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: s.NumVPs, Branching: 4, ThetaGrid: fx.Grid,
-		}, rand.New(rand.NewSource(1201)))
+		ix, err := fx.buildIndex(s.NumVPs, 4, fx.Grid, 1201)
 		if err != nil {
 			return err
 		}
@@ -42,7 +38,7 @@ func RunFig6kConstruction(w io.Writer, s Scale) error {
 		metric.NewMatrix(fx.DB, mcount, 4)
 		matrixDur := time.Since(start)
 
-		st := ix.Tree().Stats()
+		st := ix.Part(0).Tree().Stats()
 		prunedFrac := 0.0
 		if tot := st.ExactDistances + st.PrunedDistances; tot > 0 {
 			prunedFrac = float64(st.PrunedDistances) / float64(tot)
@@ -68,12 +64,15 @@ func RunFig6lFootprint(w io.Writer, s Scale) error {
 		if err != nil {
 			return err
 		}
-		sess := ix.NewSession(fx.Rel)
+		sess, err := ix.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
 		matrixBytes := int64(n) * int64(n-1) / 2 * 8
 		fmt.Fprintf(w, "%8d | %12.1f %12.1f %12.1f | %14.1f\n",
 			n,
-			float64(ix.VO().Bytes())/1024,
-			float64(ix.Tree().Bytes())/1024,
+			float64(ix.Part(0).VO().Bytes())/1024,
+			float64(ix.Part(0).Tree().Bytes())/1024,
 			float64(sess.PiHatBytes())/1024,
 			float64(matrixBytes)/1024)
 	}

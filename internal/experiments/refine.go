@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"graphrep/internal/disc"
-	"graphrep/internal/nbindex"
 )
 
 // RunFig5lThresholdGap reproduces Fig. 5(l)/6(a): NB-Index query time as the
@@ -29,15 +28,16 @@ func RunFig5lThresholdGap(w io.Writer, s Scale) error {
 		gap := fx.Theta * gapMult
 		grid := []float64{fx.Theta + gap, fx.Theta * 8}
 		sort.Float64s(grid)
-		ix, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: s.NumVPs, Branching: 4, ThetaGrid: grid,
-		}, rand.New(rand.NewSource(901)))
+		ix, err := fx.buildIndex(s.NumVPs, 4, grid, 901)
 		if err != nil {
 			return err
 		}
 		fx.ResetDistances() // each gap row pays for its own query distances
 		start := time.Now()
-		sess := ix.NewSession(fx.Rel)
+		sess, err := ix.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
 		if _, err := sess.TopK(fx.Theta, 10); err != nil {
 			return err
 		}
@@ -83,7 +83,10 @@ func RunFig6iRefinement(w io.Writer, s Scale) error {
 			return err
 		}
 		initStart := time.Now()
-		sess := ix.NewSession(fx.Rel)
+		sess, err := ix.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
 		if _, err := sess.TopK(fx.Theta, 10); err != nil {
 			return err
 		}
@@ -169,7 +172,10 @@ func RunFig6jRefinementScaling(w io.Writer, s Scale) error {
 		if err != nil {
 			return err
 		}
-		sess := ix.NewSession(fx.Rel)
+		sess, err := ix.NewSession(fx.Rel)
+		if err != nil {
+			return err
+		}
 		if _, err := sess.TopK(fx.Theta, 10); err != nil {
 			return err
 		}

@@ -233,8 +233,6 @@ const (
 	// StageGreedy: decided ≤ τ by the swap-polished greedy-assignment upper
 	// bound (O(n²)).
 	StageGreedy
-	// StageDual: pruned mid-solve by the Hungarian dual objective.
-	StageDual
 	// StageExact: the solve ran to completion; Lo == Hi == Distance.
 	StageExact
 	numStages
@@ -252,8 +250,6 @@ func (s Stage) String() string {
 		return "rowmin"
 	case StageGreedy:
 		return "greedy"
-	case StageDual:
-		return "dual"
 	case StageExact:
 		return "exact"
 	}
@@ -272,12 +268,6 @@ type Decision struct {
 	Stage Stage
 	Lo    float64
 	Hi    float64
-	// DualArmed records that the decision reached the exact solve with the
-	// dual-abort tier armed (the threshold was pinched against the proven
-	// lower bound and the caller's policy allowed arming). The metric layer's
-	// adaptive tier gate uses it as the attempt denominator for StageDual's
-	// live fire rate.
-	DualArmed bool
 }
 
 // Exact reports whether the cascade computed the exact distance — the
@@ -288,7 +278,7 @@ func (d Decision) Exact() bool { return d.Lo == d.Hi }
 // DistanceAtMost decides Distance(a,b) ≤ tau through a cascade of provable
 // bounds, running the exact Hungarian solve only when no cheaper stage is
 // conclusive: precomputed-embedding bound → row-minima bound → greedy
-// upper bound → dual-bounded Hungarian. The cascade order follows the
+// upper bound → warm-started Hungarian. The cascade order follows the
 // measured fire-rate-per-nanosecond on the reference dud workload: the
 // embedding tier decides most far pairs from two cached vectors before any
 // per-pair work, and the former standalone size and histogram tiers — which
@@ -305,23 +295,22 @@ func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
 // passing it down avoids a second L1 scan per decision). emblo must equal
 // a.Embedding().LowerBound(b.Embedding()).
 func (a *StarSig) DistanceAtMostWithLower(b *StarSig, tau, emblo float64) Decision {
-	return a.decideAtMost(b, tau, emblo, true, true)
+	return a.decideAtMost(b, tau, emblo, true)
 }
 
 // DistanceAtMostTiers is DistanceAtMostWithLower under an explicit tier
 // policy: tryGreedy enables the greedy upper-bound tier (greedy plus 2-swap
-// polish), tryDual the dual-abort arming. The lower-bound tiers and the exact
-// solve always run; disabling a tier never changes a verdict — a skipped
-// greedy success falls through to the exact solve, which proves the same
-// answer with Lo == Hi, and an unarmed decision simply reports the solve.
-// The metric layer drives the flags from its adaptive tier gates, which
-// retire a tier once its measured fire rate on the live workload drops below
-// the tier's breakeven (see metric's greedyGateMinRate / dualGateMinRate).
-func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
-	return a.decideAtMost(b, tau, emblo, tryGreedy, tryDual)
+// polish). The lower-bound tiers and the exact solve always run; disabling
+// the tier never changes a verdict — a skipped greedy success falls through
+// to the exact solve, which proves the same answer with Lo == Hi. The metric
+// layer drives the flag from its adaptive tier gate, which retires the tier
+// once its measured fire rate on the live workload drops below the tier's
+// breakeven (see metric's greedyGateMinRate).
+func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
+	return a.decideAtMost(b, tau, emblo, tryGreedy)
 }
 
-func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
+func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
 	n := max(len(a.deg), len(b.deg))
 	if n == 0 {
 		return Decision{Leq: 0 <= tau, Stage: StageExact, Lo: 0, Hi: 0}
@@ -369,9 +358,8 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 		// solve anyway. The matrix is already paid for; completing the solve
 		// now costs only the Hungarian run and settles the pair exactly for
 		// every future threshold, where pruning would forfeit this fill and
-		// repeat it at the promotion. (Greedy polish and the dual gate are
-		// skipped: the optimum is ≥ rowSum > τ, so no upper bound can reach
-		// τ.) The stage stays StageRowMin — the row bound decided the verdict;
+		// repeat it at the promotion. (The greedy polish is skipped: the
+		// optimum is ≥ rowSum > τ, so no upper bound can reach τ.) The stage stays StageRowMin — the row bound decided the verdict;
 		// the solve only hardened the interval — with Lo == Hi marking that a
 		// full solve was nonetheless spent.
 		total := float64(sc.solver.TotalWarm(sc.cost, n, sc.rowMin))
@@ -406,48 +394,7 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 		return Decision{Leq: true, Stage: StageGreedy, Lo: lo, Hi: ub}
 	}
 
-	// The dual tier only pays off when the threshold is pinched against the
-	// proven lower bound: its abort needs the optimum over a *prefix* of the
-	// rows to exceed τ, which on the reference workload happens exclusively at
-	// τ − lo ≤ 1 (measured: every dual fire had lo == τ). Only those
-	// decisions get the row order the abort depends on and run the solve with
-	// the abort armed.
-	armed := tryDual && tau-lo <= dualGateMargin
-	if armed {
-		// Stage 4/5 — the cold solve with the dual exit gated to the first
-		// half of the rows, taken by descending row minimum. The partial dual
-		// bound is otherwise back-loaded — early rows grab the globally cheap
-		// columns, so it crosses τ only in the final rows, where aborting no
-		// longer saves anything; expensive, conflict-prone rows first push it
-		// past τ within the gate instead. A late abort would save little and
-		// forfeit the exact value, which under a memoizing cache and a
-		// threshold sweep is redone at the next threshold. The optimum is
-		// permutation-invariant, so a completed solve is exact.
-		//
-		// The partial dual objective is the optimum over the rows added so
-		// far, which only grows as rows join; the greedy assignment gives the
-		// window's rows distinct columns, so its cost over them bounds that
-		// optimum from above. When it is ≤ τ the exit cannot fire, and the
-		// warm solve below replaces the cold one. With the greedy tier off
-		// the assignment is built here for this bound alone, which costs a
-		// fraction of the cold solve it can save.
-		if !reduced {
-			sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
-		}
-		order := rowsByMinDesc(sc, n)
-		window := n / dualAbortDenominator
-		if sc.solver.GreedyCost(sc.cost, n, order[:window]) > t {
-			total, aborted := sc.solver.TotalAtMostEarly(sc.cost, n, t, order, window)
-			putScratch(sc)
-			if aborted {
-				return Decision{Leq: false, Stage: StageDual, Lo: max(lo, float64(total)), Hi: inf, DualArmed: true}
-			}
-			d := float64(total)
-			return Decision{Leq: d <= tau, Stage: StageExact, Lo: d, Hi: d, DualArmed: true}
-		}
-	}
-
-	// Stage 5 — the exact solve, warm-started from the row minima (see
+	// Stage 4 — the exact solve, warm-started from the row minima (see
 	// assignment.IntSolver.TotalWarm): the cascade's bound computations
 	// double as the solver's initialization.
 	var d int64
@@ -458,7 +405,7 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDua
 	}
 	putScratch(sc)
 	total := float64(d)
-	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total, DualArmed: armed}
+	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total}
 }
 
 // floorThreshold maps a real threshold onto the integer one the solver's
@@ -478,14 +425,6 @@ func floorThreshold(tau float64) int64 {
 	return int64(math.Floor(tau))
 }
 
-// dualAbortDenominator gates the StageDual early exit to the first
-// n/dualAbortDenominator augmented rows of the cold solve. The partial dual
-// objective grows roughly linearly in the augmented rows, so an abort inside
-// the first half fires only when τ is well below the true distance and saves
-// at least half the solve; beyond that the savings no longer cover the cost
-// of losing the exact value (see the stage 4/5 comment in decideAtMost).
-const dualAbortDenominator = 2
-
 // rowMinDeepMargin splits row-minima misses into durable and ephemeral
 // prunes. A miss is worth returning early only when the proven lower bound
 // clears the threshold by more than the span a sweeping workload walks: the
@@ -498,23 +437,12 @@ const dualAbortDenominator = 2
 // grids) at half, trading a few durable prunes for none of the doubling.
 const rowMinDeepMargin = 32
 
-// dualGateMargin selects which decisions arm the dual tier at all: only
-// those whose threshold sits within this margin of the proven lower bound.
-// A prefix of the rows can only push the dual objective past τ when τ is
-// already pinched against the row-minima sum (the prefix optimum exceeds the
-// prefix's row minima by at most the assignment conflicts in it); with a
-// wide gap the solve always completes, so sorting and checking would be
-// wasted work on the far more common near-miss "yes" decisions.
-const dualGateMargin = 1
-
 // starScratch is the pooled per-solve arena: the flat row-major cost matrix,
-// the per-row minima, the row order of the dual tier, and the integer
-// solver's own scratch. One scratch serves one solve at a time; concurrency
+// the per-row minima, and the integer solver's own scratch. One scratch serves one solve at a time; concurrency
 // gets distinct instances from the pool.
 type starScratch struct {
 	cost   []int32
 	rowMin []int32
-	order  []int32
 	solver assignment.IntSolver
 }
 
@@ -528,10 +456,8 @@ func getScratch(n int) *starScratch {
 	sc.cost = sc.cost[:n*n]
 	if cap(sc.rowMin) < n {
 		sc.rowMin = make([]int32, n)
-		sc.order = make([]int32, n)
 	}
 	sc.rowMin = sc.rowMin[:n]
-	sc.order = sc.order[:n]
 	return sc
 }
 
@@ -601,26 +527,4 @@ func fillCost(cost []int32, a, b *StarSig, n int) {
 			y++
 		}
 	}
-}
-
-// rowsByMinDesc fills sc.order with the row indices in descending
-// row-minimum order, ties kept in original row order. Insertion sort: n is
-// small next to the O(n²) fill, and near-sorted inputs (padding rows share
-// one cost) finish in a linear pass.
-func rowsByMinDesc(sc *starScratch, n int) []int32 {
-	order, mins := sc.order[:n], sc.rowMin
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for i := 1; i < n; i++ {
-		r := order[i]
-		m := mins[r]
-		j := i
-		for j > 0 && mins[order[j-1]] < m {
-			order[j] = order[j-1]
-			j--
-		}
-		order[j] = r
-	}
-	return order
 }

@@ -79,7 +79,9 @@ type PruneStats struct {
 	Embedding int64
 	RowMin    int64 // decisions the row-minima lower bound made (O(n²))
 	Greedy    int64 // greedy-assignment upper bound (O(n²))
-	Dual      int64 // Hungarian dual objective early exit (partial solve)
+	// Dual is always 0: the cascade has no dual-abort tier. The field stays
+	// because the perfbench module's trace still reads it.
+	Dual int64
 
 	// RowMinSolved is the subset of RowMin whose miss was shallow — within
 	// rowMinDeepMargin of τ — so the cascade spent a full solve hardening the
@@ -91,19 +93,19 @@ type PruneStats struct {
 	BoundedExact int64
 	ExactValues  int64
 
-	// GreedyTried and DualArmed are the adaptive tier gates' attempt
-	// denominators: decisions on which the greedy tier actually ran, and
-	// decisions whose exact solve ran with the dual abort armed. Greedy/
-	// GreedyTried and Dual/DualArmed are the live fire rates the gates weigh
-	// against each tier's breakeven; a denominator that stops growing while
-	// decisions continue means the gate has retired the tier.
+	// GreedyTried is the adaptive greedy gate's attempt denominator: the
+	// decisions on which the greedy tier actually ran. Greedy/GreedyTried is
+	// the live fire rate the gate weighs against the tier's breakeven; a
+	// denominator that stops growing while decisions continue means the gate
+	// has retired the tier.
 	GreedyTried int64
-	DualArmed   int64
+	// DualArmed is always 0, like Dual, and stays for the same reader.
+	DualArmed int64
 }
 
 // Pruned returns the decisions resolved without a completed exact solve.
 func (p PruneStats) Pruned() int64 {
-	return p.Embedding + (p.RowMin - p.RowMinSolved) + p.Greedy + p.Dual
+	return p.Embedding + (p.RowMin - p.RowMinSolved) + p.Greedy
 }
 
 // FullSolves returns the number of completed Hungarian solves issued.
@@ -170,12 +172,9 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 		lb = sa.Embedding().LowerBound(sb.Embedding())
 	}
 	tryGreedy := m.greedyGateOpen()
-	dec := sa.DistanceAtMostTiers(sb, theta, lb, tryGreedy, m.dualGateOpen())
+	dec := sa.DistanceAtMostTiers(sb, theta, lb, tryGreedy)
 	if tryGreedy && dec.Stage >= ged.StageGreedy {
 		m.greedyTried.Add(1)
-	}
-	if dec.DualArmed {
-		m.dualTried.Add(1)
 	}
 	m.stages[dec.Stage].Add(1)
 	if dec.Stage == ged.StageRowMin && dec.Exact() {
@@ -184,32 +183,27 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	return decision{leq: dec.Leq, pruned: !dec.Exact(), lo: dec.Lo, hi: dec.Hi}
 }
 
-// The adaptive tier gates. The greedy upper bound and the dual abort are the
-// two cascade tiers whose economics depend on the workload rather than the
-// data alone. A greedy success durably prunes one warm-started Hungarian
-// solve, while a failure pays the assignment bookkeeping and swap polish on
-// top of the solve it failed to avoid — against the measured costs on the
-// reference workload, roughly a quarter of a warm solve per attempt, so the
-// tier breaks even when about one attempt in four lands. Arming the dual
-// abort costs the row reordering plus the warm start the classic abortable
-// solve cannot use — about half of what an abort saves (the abort skips at
-// least half the solve) — so that tier breaks even when about half its armed
-// attempts fire. Each gate watches its tier's live fire rate over the
-// decisions that actually ran it and retires the tier for the metric's
-// lifetime once, past the metric's warmup (gateWarmupFor at construction),
-// the rate sits below the tier's breakeven. Retiring a tier never changes a verdict (a skipped
-// greedy success falls through to the exact solve, which proves the same
-// answer and memoizes more; an unarmed solve simply completes), so answers
-// stay byte-identical; only the stage composition shifts. Once closed a gate
+// The adaptive tier gate. The greedy upper bound is the cascade tier whose
+// economics depend on the workload rather than the data alone. A greedy
+// success durably prunes one warm-started Hungarian solve, while a failure
+// pays the assignment bookkeeping and swap polish on top of the solve it
+// failed to avoid — against the measured costs on the reference workload,
+// roughly a quarter of a warm solve per attempt, so the tier breaks even
+// when about one attempt in four lands. The gate watches the tier's live
+// fire rate over the decisions that actually ran it and retires the tier
+// for the metric's lifetime once, past the metric's warmup (gateWarmupFor at
+// construction), the rate sits below that breakeven. Retiring the tier never
+// changes a verdict (a skipped greedy success falls through to the exact
+// solve, which proves the same answer and memoizes more), so answers stay
+// byte-identical; only the stage composition shifts. Once closed the gate
 // stays closed: no further attempts run, so the rate that closed it is
 // frozen. Reference points: the n=400 workload finishes inside the warmup
-// with greedy landing ≈48%, so both tiers stay live there; the n=4000
-// workload sits near 12% greedy and 0% dual and retires both shortly after
-// warmup, shedding their cost on the ~90% of decisions they were losing.
+// with greedy landing ≈48%, so the tier stays live there; the n=4000
+// workload sits near 12% and retires it shortly after warmup, shedding its
+// cost on the ~90% of decisions it was losing.
 const (
 	gateWarmupFloor   = 4096
 	greedyGateMinRate = 0.25
-	dualGateMinRate   = 0.5
 )
 
 // gateWarmupFor sizes the gate warmup for an n-graph database:
@@ -240,28 +234,16 @@ func (m *starMetric) greedyGateOpen() bool {
 	return float64(m.stages[ged.StageGreedy].Load()) >= greedyGateMinRate*float64(tried)
 }
 
-// dualGateOpen is greedyGateOpen's counterpart for the dual-abort tier, over
-// the decisions that armed it.
-func (m *starMetric) dualGateOpen() bool {
-	tried := m.dualTried.Load()
-	if tried < m.gateWarmup {
-		return true
-	}
-	return float64(m.stages[ged.StageDual].Load()) >= dualGateMinRate*float64(tried)
-}
-
 // PruneStats implements StageCounter.
 func (m *starMetric) PruneStats() PruneStats {
 	return PruneStats{
 		Embedding:    m.stages[ged.StageEmbedding].Load(),
 		RowMin:       m.stages[ged.StageRowMin].Load(),
 		Greedy:       m.stages[ged.StageGreedy].Load(),
-		Dual:         m.stages[ged.StageDual].Load(),
 		RowMinSolved: m.rowMinSolved.Load(),
 		BoundedExact: m.stages[ged.StageExact].Load(),
 		ExactValues:  m.exactValues.Load(),
 		GreedyTried:  m.greedyTried.Load(),
-		DualArmed:    m.dualTried.Load(),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphrep/internal/dataset"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 )
@@ -55,15 +54,12 @@ func randSpec(rng *rand.Rand, maxN int) graphSpec {
 	return s
 }
 
-// findStagePair deterministically searches graph pairs for one whose bounded
-// decision terminates at the wanted cascade stage, returning the pair and the
-// threshold that forces it. The deeper stages (dual, exact) depend on how the
-// Hungarian solve unfolds, which is impractical to craft by hand: exact is
-// dense in seeded random pairs, while dual needs assignment conflicts inside
-// the gated prefix of the solve, which uniform random graphs almost never
-// produce — the family-structured molecule-like corpus (small label alphabet,
-// shared scaffolds, valence cap) does. The returned graphs carry placeholder
-// IDs; callers re-ID them via Clone when assembling a database.
+// findStagePair deterministically searches seeded random graph pairs for one
+// whose bounded decision terminates at the wanted cascade stage, returning
+// the pair and the threshold that forces it. The exact stage depends on how
+// the greedy bound and the Hungarian solve unfold, which is impractical to
+// craft by hand but dense in random pairs. The returned graphs carry
+// placeholder IDs; callers re-ID them via Clone when assembling a database.
 func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64) {
 	t.Helper()
 	for seed := int64(0); seed < 2000; seed++ {
@@ -77,27 +73,6 @@ func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64
 			}
 			if dec := siga.DistanceAtMost(sigb, tau); dec.Stage == want {
 				return ga, gb, tau
-			}
-		}
-	}
-	db, err := dataset.DUDLike(120, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := make([]*ged.StarSig, db.Len())
-	for i := range sigs {
-		sigs[i] = ged.NewStarSig(db.Graph(graph.ID(i)))
-	}
-	for i := 0; i < len(sigs); i++ {
-		for j := i + 1; j < len(sigs); j++ {
-			d := sigs[i].Distance(sigs[j])
-			for _, tau := range []float64{math.Floor(3 * d / 4), d - 1, d - 2} {
-				if tau < 0 {
-					continue
-				}
-				if dec := sigs[i].DistanceAtMost(sigs[j], tau); dec.Stage == want {
-					return db.Graph(graph.ID(i)), db.Graph(graph.ID(j)), tau
-				}
 			}
 		}
 	}
@@ -121,8 +96,7 @@ func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64
 //   - greedy: two isomorphic graphs under distinct IDs at θ = 0 — only the
 //     greedy upper bound (a zero-cost assignment) can prove d ≤ 0;
 //
-// and the solve-dependent tiers (dual, exact) use deterministically searched
-// pairs.
+// and the exact stage uses a deterministically searched pair.
 func TestCascadeTiersCrafted(t *testing.T) {
 	// Crafted specs (see the derivations in the doc comment).
 	embedA := graphSpec{labels: []graph.Label{9}}
@@ -149,17 +123,16 @@ func TestCascadeTiersCrafted(t *testing.T) {
 	rowMinDeepA, rowMinDeepB := motifs(rowMinA, 17), motifs(rowMinB, 17)
 	iso := graphSpec{labels: []graph.Label{1, 2}, edges: [][3]int{{0, 1, 0}}}
 
-	dualA, dualB, dualTau := findStagePair(t, ged.StageDual)
 	exactA, exactB, exactTau := findStagePair(t, ged.StageExact)
 
 	crafted := []graphSpec{embedA, embedB, rowMinDeepA, rowMinDeepB, rowMinA, rowMinB, iso, iso}
-	graphs := make([]*graph.Graph, 0, len(crafted)+4)
+	graphs := make([]*graph.Graph, 0, len(crafted)+2)
 	for i, s := range crafted {
 		graphs = append(graphs, s.build(t, graph.ID(i)))
 	}
-	// Searched pairs carry placeholder IDs; re-build them at their database
+	// The searched pair carries placeholder IDs; re-build it at its database
 	// positions.
-	for _, g := range []*graph.Graph{dualA, dualB, exactA, exactB} {
+	for _, g := range []*graph.Graph{exactA, exactB} {
 		id := graph.ID(len(graphs))
 		gg, err := g.Clone(id).Build(id)
 		if err != nil {
@@ -190,11 +163,10 @@ func TestCascadeTiersCrafted(t *testing.T) {
 		{"rowmin-deep", 2, 3, 1, false, func(p PruneStats) int64 { return p.RowMin }, 0},
 		{"rowmin-solved", 4, 5, 1, false, func(p PruneStats) int64 { return p.RowMin }, 1},
 		{"greedy", 6, 7, 0, true, func(p PruneStats) int64 { return p.Greedy }, 0},
-		{"dual", 8, 9, dualTau, false, func(p PruneStats) int64 { return p.Dual }, 0},
-		{"exact", 10, 11, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
+		{"exact", 8, 9, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
 	}
 	// The searched exact-stage pair may resolve either verdict; derive it.
-	rows[5].leq = ged.NewStarSig(graphs[10]).Distance(ged.NewStarSig(graphs[11])) <= exactTau
+	rows[4].leq = ged.NewStarSig(graphs[8]).Distance(ged.NewStarSig(graphs[9])) <= exactTau
 
 	for _, row := range rows {
 		before := sc.PruneStats()

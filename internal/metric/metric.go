@@ -72,16 +72,14 @@ type starMetric struct {
 	exactValues  paddedCounter
 	// greedyTried counts bounded decisions on which the greedy upper-bound
 	// tier actually ran (the adaptive tier gate was open and the decision got
-	// past the lower-bound tiers); dualTried those that reached the exact
-	// solve with the dual abort armed. Together with the matching stage
-	// counters they yield the live fire rates the adaptive tier gates compare
-	// against each tier's breakeven.
+	// past the lower-bound tiers). Together with the StageGreedy counter it
+	// yields the live fire rate the adaptive tier gate compares against the
+	// tier's breakeven.
 	greedyTried paddedCounter
-	dualTried   paddedCounter
 }
 
 // paddedCounter is an atomic.Int64 alone on its cache line. One of these
-// counters is bumped by every worker on every decision, and packing the five
+// counters is bumped by every worker on every decision, and packing the four
 // stage counters (plus exactValues) into adjacent words would make each bump
 // invalidate the others' line — measurable false sharing on the query path's
 // parallel verify loops.

@@ -1,4 +1,4 @@
-package nbindex
+package nbindex_test
 
 import (
 	"math/rand"
@@ -8,6 +8,7 @@ import (
 	"graphrep/internal/core"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
+	"graphrep/internal/shard"
 )
 
 // Build an index on a prefix of a clustered database, insert the rest one by
@@ -26,11 +27,7 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := metric.NewCache(metric.Star(db))
-	ix, err := Build(db, m, Options{NumVPs: 5, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}},
-		rand.New(rand.NewSource(401)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16, 64}, 401)
 	for i := prefixLen; i < full.Len(); i++ {
 		src := full.Graph(graph.ID(i))
 		g, err := src.Clone(graph.ID(i)).Build(graph.ID(i))
@@ -40,11 +37,11 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 		if err := db.Append(g); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
-		if err := ix.Insert(graph.ID(i)); err != nil {
+		if err := set.Insert(graph.ID(i)); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := ix.tree.Validate(db, m); err != nil {
+	if err := set.Part(0).Tree().Validate(db, m); err != nil {
 		t.Fatalf("tree invalid after inserts: %v", err)
 	}
 	relevance := func(f []float64) bool { return f[0] > 0.3 }
@@ -53,7 +50,7 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ix.NewSession(relevance).TopK(theta, 6)
+		got, err := newSession(t, set, relevance).TopK(theta, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +67,7 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := metric.NewCache(metric.Star(db))
-	ix, err := Build(db, m, Options{NumVPs: 1, Branching: 2, ThetaGrid: []float64{4}},
+	set, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: 1, Branching: 2, ThetaGrid: []float64{4}},
 		rand.New(rand.NewSource(403)))
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +81,14 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 		if err := db.Append(g); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.Insert(graph.ID(i)); err != nil {
+		if err := set.Insert(graph.ID(i)); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := ix.tree.Validate(db, m); err != nil {
+	if err := set.Part(0).Tree().Validate(db, m); err != nil {
 		t.Fatalf("tree invalid: %v", err)
 	}
-	res, err := ix.NewSession(func([]float64) bool { return true }).TopK(1e9, 1)
+	res, err := newSession(t, set, func([]float64) bool { return true }).TopK(1e9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

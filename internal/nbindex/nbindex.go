@@ -10,39 +10,22 @@
 //
 // # Query processing
 //
-// A Session corresponds to the paper's initialization phase: for a fixed
-// relevance function it computes the π̂-vector of every relevant graph with
-// one vantage scan each, and propagates ceilings up the NB-Tree (Eq. 14).
-// Session.TopK runs the search-and-update phase at any θ; calling it again
-// with a refined θ reuses the initialization, which is exactly the
-// interactive zoom scenario of Fig. 6(i).
-//
-// # Update rule
-//
-// Instead of re-deriving Theorems 6–8 literally, the update step uses an
-// equivalent credit-propagation formulation that is easier to prove sound:
-// when graph l becomes covered, one credit is added at the highest NB-Tree
-// ancestor a of l with diameter(a) ≤ θ. For every graph g' under a, l is
-// guaranteed inside N_θ(g') (d(g', l) ≤ diameter(a) ≤ θ, Theorem 7's
-// argument), so the marginal-gain bound of every such g' may permanently
-// drop by one. Summed over the members of a covered cluster this reproduces
-// the |c_q| batch subtraction of Theorems 7–8, and clusters beyond reach are
-// never credited, which is Theorem 6. Each covered graph is credited exactly
-// once, so bounds never under-count and Alg. 2's pruning stays admissible.
+// The index holds the per-part primitives a query needs: the vantage
+// orderings that yield candidate neighborhoods and π̂ rows, the flat NB-Tree
+// with its diameters, and the leaf map. The best-first greedy of Alg. 2 —
+// session initialization, bound propagation and the credit-based update rule
+// — runs in internal/shard, which coordinates one or more parts. Its
+// QueryStats and ThetaPoint types live here.
 package nbindex
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"graphrep/internal/bitset"
-	"graphrep/internal/core"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
@@ -51,32 +34,10 @@ import (
 	"graphrep/internal/vantage"
 )
 
-// Options configures index construction.
-type Options struct {
-	// NumVPs is the number of vantage points (|V|). Choose via
-	// stats.MinVPsForFPR or default to a small constant.
-	NumVPs int
-	// VPPolicy selects the vantage point policy (default SelectRandom).
-	VPPolicy vantage.SelectionPolicy
-	// Branching is the NB-Tree fan-out b (≥ 2).
-	Branching int
-	// ThetaGrid lists the thresholds indexed in π̂-vectors, ascending (§7.1).
-	ThetaGrid []float64
-	// Workers bounds the goroutines used for construction and session
-	// initialization (≤ 0 means GOMAXPROCS). The index and every answer are
-	// identical for any value; only wall time changes.
-	Workers int
-}
-
-// DefaultOptions returns a memory-resident configuration.
-func DefaultOptions(grid []float64) Options {
-	return Options{NumVPs: 8, Branching: 4, ThetaGrid: grid}
-}
-
-// Index is an immutable NB-Index over a database — either the whole of it
-// (BuildContext, base 0) or one shard's contiguous ID range (BuildPartContext;
-// internal/shard coordinates several such parts). Build once per database;
-// relevance functions and θ are supplied at query time.
+// Index is an immutable NB-Index over one contiguous ID range of a database
+// (BuildPartContext; internal/shard coordinates one or more such parts).
+// Build once per database; relevance functions and θ are supplied at query
+// time.
 type Index struct {
 	db *graph.Database
 	m  metric.Metric
@@ -90,7 +51,7 @@ type Index struct {
 	// Tree() materializes it on demand from flat.
 	tree *nbtree.Tree
 	grid []float64
-	// base is the first graph ID covered; 0 for a full-database index.
+	// base is the first graph ID covered.
 	base graph.ID
 	// leafOf maps a covered graph ID (offset by base) to its leaf node index
 	// in the flat tree. May alias a mapped section; thaw copies it before
@@ -116,12 +77,8 @@ type Index struct {
 	deferredCheck func() error
 	checkOnce     sync.Once
 	checkErr      error
-	// workers bounds session-initialization goroutines; ≤ 0 means GOMAXPROCS.
-	workers int
 	// timing records the wall time of each construction phase.
 	timing BuildTiming
-	// tel, when set, aggregates QueryStats across every session's queries.
-	tel atomic.Pointer[Telemetry]
 }
 
 // BuildTiming reports the wall time of each construction phase, for the
@@ -138,59 +95,13 @@ type BuildTiming struct {
 	Total time.Duration
 }
 
-// Build constructs the NB-Index with no cancellation. See BuildContext.
-func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Index, error) {
-	return BuildContext(context.Background(), db, m, opt, rng)
-}
-
-// BuildContext constructs the NB-Index: vantage point selection, vantage
-// orderings, and the VP-accelerated NB-Tree. Cancellation is checked at
-// every phase boundary and per work batch inside the parallel fills; a
-// cancelled build returns ctx.Err() and no index. The result is identical
-// for any Workers value.
-func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Index, error) {
-	if len(opt.ThetaGrid) == 0 {
-		return nil, fmt.Errorf("nbindex: empty theta grid")
-	}
-	if !sort.Float64sAreSorted(opt.ThetaGrid) {
-		return nil, fmt.Errorf("nbindex: theta grid not ascending")
-	}
-	if opt.NumVPs <= 0 {
-		return nil, fmt.Errorf("nbindex: NumVPs = %d", opt.NumVPs)
-	}
-	if db.Len() == 0 {
-		return nil, fmt.Errorf("nbindex: empty database")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
-	numVPs := opt.NumVPs
-	if numVPs > db.Len() {
-		numVPs = db.Len()
-	}
-	vps, err := vantage.SelectVPs(db, m, numVPs, opt.VPPolicy, rng)
-	if err != nil {
-		return nil, err
-	}
-	tVPs := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
-	ix, err := BuildPartContext(ctx, db, m, vps, opt.ThetaGrid, 0, db.Len(), opt.Branching, opt.Workers, rng)
-	if err != nil {
-		return nil, err
-	}
-	ix.timing.VPSelect = tVPs.Sub(start)
-	ix.timing.Total += ix.timing.VPSelect
-	return ix, nil
-}
-
 // BuildPartContext constructs an NB-Index over the contiguous ID range
 // [base, base+count) of db with an externally chosen vantage point set and θ
 // grid. This is the shard build path: every shard shares one global VP set
 // (so embedding coordinates are comparable across shards) and one global
-// grid, while owning its own vantage rows and NB-Tree. BuildContext is the
-// base=0, count=n special case with the VPs selected internally. rng drives
-// only the NB-Tree pivot draws; pass a per-shard seeded source for
-// reproducible shard builds.
+// grid, while owning its own vantage rows and NB-Tree. rng drives only the
+// NB-Tree pivot draws; pass a per-shard seeded source for reproducible shard
+// builds.
 func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, vps []graph.ID, grid []float64, base graph.ID, count, branching, workers int, rng *rand.Rand) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
@@ -218,14 +129,13 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 	}
 	done := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
 	ix := &Index{
-		db:      db,
-		m:       m,
-		vo:      vo,
-		flat:    tree.Flatten(),
-		tree:    tree,
-		grid:    append([]float64(nil), grid...),
-		base:    base,
-		workers: workers,
+		db:   db,
+		m:    m,
+		vo:   vo,
+		flat: tree.Flatten(),
+		tree: tree,
+		grid: append([]float64(nil), grid...),
+		base: base,
 		timing: BuildTiming{
 			Vantage: tVO.Sub(start),
 			Tree:    done.Sub(tVO),
@@ -282,8 +192,8 @@ func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 // (record count and per-record star count). The components are retained, not
 // copied; grid is copied. It is PartFromViewsDeferred followed immediately
 // by EnsureValid.
-func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table, workers int) (*Index, error) {
-	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, embTab, workers)
+func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table) (*Index, error) {
+	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, embTab)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +211,7 @@ func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, fl
 // and Insert call EnsureValid themselves, so a part whose content never
 // validated cannot be navigated; this is what keeps a mapped open's cost
 // independent of index size.
-func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table, workers int) (*Index, error) {
+func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
 	}
@@ -328,15 +238,14 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 		return nil, fmt.Errorf("nbindex: embedding table of %d records, ordering covers %d graphs", embTab.Len(), count)
 	}
 	ix := &Index{
-		db:      db,
-		m:       m,
-		vo:      vo,
-		flat:    flat,
-		grid:    append([]float64(nil), grid...),
-		base:    base,
-		leafOf:  leafOf,
-		embTab:  embTab,
-		workers: workers,
+		db:     db,
+		m:      m,
+		vo:     vo,
+		flat:   flat,
+		grid:   append([]float64(nil), grid...),
+		base:   base,
+		leafOf: leafOf,
+		embTab: embTab,
 	}
 	ix.deferredCheck = ix.validateViews
 	return ix, nil
@@ -399,10 +308,6 @@ func (ix *Index) EnsureValid() error {
 // Timing returns the wall time each construction phase took. Zero for
 // indexes loaded with Read (no construction happened).
 func (ix *Index) Timing() BuildTiming { return ix.timing }
-
-// SetWorkers bounds the goroutines later session initializations use
-// (≤ 0 means GOMAXPROCS). Useful after Read, which has no Options.
-func (ix *Index) SetWorkers(w int) { ix.workers = w }
 
 // Insert extends the index with a graph already appended to the database
 // (its ID must be the database's last, and this index must be the one whose
@@ -492,10 +397,10 @@ func (ix *Index) Base() graph.ID { return ix.base }
 func (ix *Index) Count() int { return ix.vo.Len() }
 
 // LeafIdx returns the tree node index of the leaf holding covered graph id.
-// Callers reach it through a Session, whose construction already ran
-// EnsureValid (newSession).
+// Callers reach it through a shard session, whose construction already ran
+// EnsureValid on every part.
 //
-//lint:allow oncevalid validation ran in newSession before any Session method can call this
+//lint:allow oncevalid shard sessions validate every part before any query can call this
 func (ix *Index) LeafIdx(id graph.ID) int { return int(ix.leafOf[id-ix.base]) }
 
 // LeafOf returns the leaf map: covered graph ID minus Base() to flat node
@@ -526,46 +431,9 @@ func (ix *Index) GridSlot(theta float64) int {
 	return sort.SearchFloat64s(ix.grid, theta)
 }
 
-// Session is the initialization phase for one relevance function: π̂-vectors
-// for every relevant graph plus the supporting relevance state. A Session
-// answers any number of TopK calls at varying θ (interactive refinement)
-// without repeating the initialization.
-//
-// After initialization a Session is read-only apart from the LastStats
-// bookkeeping, which is mutex-guarded, so TopK and SweepTheta are safe to
-// call from multiple goroutines concurrently (each call computes an
-// independent answer). The index must not be mutated (Insert) while queries
-// are in flight.
-type Session struct {
-	ix *Index
-	// grid lists the thresholds the session's π̂-vectors are computed at:
-	// the index grid by default, or a single direct threshold for sessions
-	// opened with NewSessionAt (§7's "absence of interactive refinement"
-	// optimization).
-	grid []float64
-	rel  []graph.ID
-	// relPos maps a database ID to its position in rel, or −1.
-	relPos []int
-	// relCount[nodeIdx] counts relevant graphs under each NB-Tree node.
-	relCount []int
-	// piHat[leafNodeIdx][slot] upper-bounds |N_θgrid[slot](g) ∩ L_q| for the
-	// leaf's graph; nil rows for irrelevant leaves.
-	piHat [][]int32
-	// batchUpdates enables the Theorems 6–8 style credit propagation; on by
-	// default, disabled only for ablation measurements.
-	batchUpdates bool
-	// statsMu guards lastStats; every other Session field is immutable after
-	// initialization, which is what makes concurrent TopK calls safe.
-	statsMu   sync.Mutex
-	lastStats QueryStats // guarded by statsMu
-}
-
-// SetBatchUpdates toggles the cluster-batched bound updates (Theorems 6–8
-// equivalent). Disabling them keeps answers identical — bounds merely stay
-// looser, so the search verifies more leaves. Exists for the ablation bench.
-func (s *Session) SetBatchUpdates(on bool) { s.batchUpdates = on }
-
-// QueryStats describes the work one TopK call performed.
+// QueryStats describes the work one TopK call performed. PQPops counts the
+// frontier visits of the best-first search — the tree nodes its per-pick
+// frontier enumerations touch — at every shard count.
 type QueryStats struct {
 	PQPops         int
 	VerifiedLeaves int
@@ -577,396 +445,6 @@ type QueryStats struct {
 	// the number of candidate threshold tests issued.
 	ExactDistances  int
 	PrunedDistances int
-}
-
-// NewSession runs the initialization phase for relevance function q,
-// computing π̂-vectors over the full indexed θ grid so that any subsequent
-// TopK threshold (interactive refinement) is supported.
-func (ix *Index) NewSession(q core.Relevance) *Session {
-	s, _ := ix.newSession(context.Background(), q, ix.grid)
-	return s
-}
-
-// NewSessionContext is NewSession with cancellation: the per-relevant-graph
-// vantage scans check the context between batches, and a cancelled
-// initialization returns ctx.Err() with no session.
-func (ix *Index) NewSessionContext(ctx context.Context, q core.Relevance) (*Session, error) {
-	return ix.newSession(ctx, q, ix.grid)
-}
-
-// NewSessionAt runs the initialization phase for a single known threshold:
-// the π̂ bounds are computed directly at theta instead of the whole grid
-// (§7: "in the absence of interactive refinement, the π̂-vector is not
-// required"). TopK at other thresholds remains correct but falls back to
-// trivial bounds, so use NewSession when θ will be refined.
-func (ix *Index) NewSessionAt(q core.Relevance, theta float64) *Session {
-	s, _ := ix.newSession(context.Background(), q, []float64{theta})
-	return s
-}
-
-func (ix *Index) newSession(ctx context.Context, q core.Relevance, grid []float64) (*Session, error) {
-	if err := ix.EnsureValid(); err != nil {
-		return nil, err
-	}
-	if ix.base != 0 || ix.vo.Len() != ix.db.Len() {
-		return nil, fmt.Errorf("nbindex: sessions require a full-database index, this one covers [%d, %d); use internal/shard's coordinator for parts",
-			ix.base, int(ix.base)+ix.vo.Len())
-	}
-	s := &Session{ix: ix, grid: grid, batchUpdates: true}
-	s.rel = core.Relevant(ix.db, q)
-	s.relPos = make([]int, ix.db.Len())
-	for i := range s.relPos {
-		s.relPos[i] = -1
-	}
-	for i, id := range s.rel {
-		s.relPos[id] = i
-	}
-	f := ix.flat
-	s.relCount = make([]int, f.Len())
-	for i := f.Len() - 1; i >= 0; i-- {
-		if f.Leaves[i] == 1 {
-			if s.relPos[f.Centroids[i]] >= 0 {
-				s.relCount[i] = 1
-			}
-			continue
-		}
-		for c := f.FirstChild[i]; c != -1; c = f.NextSibling[c] {
-			s.relCount[i] += s.relCount[c]
-		}
-	}
-	// π̂-vectors: one vantage scan per relevant graph at the largest indexed
-	// threshold; each candidate's vantage lower bound assigns it to every
-	// grid slot it belongs to. Rows are independent and each lands in its own
-	// piHat slot, so the scans run on the worker pool without affecting the
-	// result.
-	s.piHat = make([][]int32, f.Len())
-	if len(grid) > 0 && len(s.rel) > 0 {
-		thetaMax := grid[len(grid)-1]
-		isRel := func(id graph.ID) bool { return s.relPos[id] >= 0 }
-		err := pool.Ranges(ctx, len(s.rel), ix.workers, 16, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				id := s.rel[i]
-				row := make([]int32, len(grid))
-				for _, c := range ix.vo.CandidatesWithLB(id, thetaMax, isRel) {
-					slot := sort.SearchFloat64s(grid, c.LB)
-					for t := slot; t < len(grid); t++ {
-						row[t]++
-					}
-				}
-				s.piHat[ix.LeafIdx(id)] = row
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// RelevantCount returns |L_q| for the session.
-func (s *Session) RelevantCount() int { return len(s.rel) }
-
-// LastStats returns statistics from the most recently completed TopK call.
-// With concurrent TopK calls in flight, "most recent" means whichever call
-// finished last.
-func (s *Session) LastStats() QueryStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lastStats
-}
-
-// PiHatBytes reports the memory consumed by the π̂-vectors (the query-time
-// component of the footprint reported in Fig. 6(l)).
-func (s *Session) PiHatBytes() int64 {
-	var b int64
-	for _, row := range s.piHat {
-		b += int64(len(row)) * 4
-	}
-	return b
-}
-
-// TopK runs the search-and-update phase (Alg. 2 driven greedy) at threshold
-// theta with budget k. The answer matches the baseline greedy exactly
-// (maximum marginal gain, ties toward the lower graph ID; picks stop when no
-// candidate improves coverage).
-func (s *Session) TopK(theta float64, k int) (*core.Result, error) {
-	return s.TopKContext(context.Background(), theta, k)
-}
-
-// TopKContext is TopK with cancellation: the context is checked on entry, at
-// every greedy pick, and periodically inside the best-first search, so a
-// cancelled or expired context makes the call return ctx.Err() promptly
-// without publishing stats for the abandoned query.
-func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
-	if math.IsNaN(theta) {
-		return nil, fmt.Errorf("nbindex: theta is NaN")
-	}
-	if theta < 0 {
-		return nil, fmt.Errorf("nbindex: negative theta %v", theta)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("nbindex: non-positive k %d", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ix := s.ix
-	f := ix.flat
-	res := &core.Result{Relevant: len(s.rel)}
-	// Work stats accumulate in a local so concurrent TopK calls never share
-	// mutable state; the final store publishes them for LastStats and folds
-	// them into the index's telemetry aggregates.
-	var st QueryStats
-	finish := func() {
-		s.statsMu.Lock()
-		s.lastStats = st
-		s.statsMu.Unlock()
-		ix.tel.Load().Observe(st)
-	}
-	if len(s.rel) == 0 {
-		finish()
-		return res, nil
-	}
-
-	// Working bound state for this θ: the smallest session-grid threshold
-	// ≥ θ, whose π̂ column upper-bounds the θ neighborhoods.
-	slot := sort.SearchFloat64s(s.grid, theta)
-	leafBound := func(idx int) int32 {
-		row := s.piHat[idx]
-		if row == nil {
-			return -1 // irrelevant leaf: never selectable
-		}
-		if slot >= len(row) {
-			return int32(len(s.rel)) // θ beyond the grid: trivial bound
-		}
-		return row[slot]
-	}
-	// sub[nodeIdx]: permanent per-subtree gain subtraction (credits).
-	sub := make([]int32, f.Len())
-	// F[nodeIdx] = max over relevant leaves l under the node of
-	// (π̂init(l) − Σ sub on the path l..node); −1 where no relevant leaf.
-	F := make([]int32, f.Len())
-	for i := f.Len() - 1; i >= 0; i-- {
-		if f.Leaves[i] == 1 {
-			F[i] = leafBound(i)
-			continue
-		}
-		best := int32(-1)
-		for c := f.FirstChild[i]; c != -1; c = f.NextSibling[c] {
-			if F[c] > best {
-				best = F[c]
-			}
-		}
-		F[i] = best
-	}
-	// subAbove sums the credits strictly above a node.
-	subAbove := func(n int32) int32 {
-		var t int32
-		for p := f.Parents[n]; p != -1; p = f.Parents[p] {
-			t += sub[p]
-		}
-		return t
-	}
-	currentBound := func(n int32) int32 { return F[n] - subAbove(n) }
-
-	covered := bitset.New(len(s.rel))
-	inAnswer := make([]bool, len(s.rel))
-	includeUncovered := func(id graph.ID) bool {
-		p := s.relPos[id]
-		return p >= 0 && !covered.Contains(p)
-	}
-
-	// applyCredit records that relevant graph id became covered: one credit
-	// at its highest diameter ≤ θ ancestor, with F recomputed upward.
-	applyCredit := func(id graph.ID) {
-		//lint:allow oncevalid newSession validated the index before this Session method could run
-		a := ix.leafOf[id-ix.base]
-		for p := f.Parents[a]; p != -1 && f.Diameters[p] <= theta; p = f.Parents[p] {
-			a = p
-		}
-		sub[a]++
-		// Recompute F from a to the root.
-		for n := a; n != -1; n = f.Parents[n] {
-			var best int32
-			if f.Leaves[n] == 1 {
-				best = leafBound(int(n))
-			} else {
-				best = -1
-				for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
-					if F[c] > best {
-						best = F[c]
-					}
-				}
-			}
-			nf := best - sub[n]
-			if nf == F[n] && n != a {
-				break // no change propagates further
-			}
-			F[n] = nf
-		}
-	}
-
-	for len(res.Answer) < k {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best, bestGain := graph.ID(-1), int32(0)
-		var bestNbrs []int // relevant positions newly covered by best
-		pq := &entryHeap{}
-		if b := currentBound(0); b > 0 {
-			pq.push(entry{bound: b, node: 0})
-		}
-		for len(*pq) > 0 {
-			e := pq.pop()
-			st.PQPops++
-			// Periodic cancellation check: cheap relative to a pop (one
-			// atomic load every 256), yet bounds the abort latency of even a
-			// pathological single-pick search.
-			if st.PQPops&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			// The heap is ordered by bound, so once the best remaining bound
-			// drops below the verified best gain the pick is settled. Bounds
-			// equal to the best gain are still explored so that ties resolve
-			// toward the lowest graph ID, matching the baseline greedy.
-			if e.bound < bestGain {
-				break
-			}
-			// Lazy re-evaluation: credits may have shrunk the bound since
-			// insertion.
-			if cur := currentBound(e.node); cur < e.bound {
-				if cur >= bestGain && cur > 0 {
-					pq.push(entry{bound: cur, node: e.node})
-				}
-				continue
-			}
-			if f.Leaves[e.node] == 1 {
-				cent := f.Centroids[e.node]
-				p := s.relPos[cent]
-				if p < 0 || inAnswer[p] {
-					continue
-				}
-				gain, nbrs := s.verify(cent, theta, includeUncovered, &st)
-				if gain > bestGain || (gain == bestGain && gain > 0 && cent < best) {
-					best, bestGain, bestNbrs = cent, gain, nbrs
-				}
-				continue
-			}
-			for c := f.FirstChild[e.node]; c != -1; c = f.NextSibling[c] {
-				if b := currentBound(c); b > 0 && b >= bestGain {
-					pq.push(entry{bound: b, node: c})
-				}
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			break
-		}
-		// Pick best; update coverage and credits.
-		inAnswer[s.relPos[best]] = true
-		res.Answer = append(res.Answer, best)
-		res.Gains = append(res.Gains, int(bestGain))
-		for _, p := range bestNbrs {
-			covered.Add(p)
-			if s.batchUpdates {
-				applyCredit(s.rel[p])
-			}
-		}
-	}
-	res.Covered = covered.Count()
-	res.Power = float64(res.Covered) / float64(res.Relevant)
-	finish()
-	return res, nil
-}
-
-// verify computes the exact marginal gain of graph g at threshold theta:
-// vantage candidates restricted to uncovered relevant graphs, then threshold
-// tests only for those (Alg. 2 lines 8–11). Each test goes through
-// metric.Decide, so a bounded metric can prune it with a cheap bound instead
-// of a full distance computation — the decision is exactly d ≤ θ either way,
-// which is why answers do not depend on the kernel. It returns the gain and
-// the relevant positions that would become covered. Work is tallied into st,
-// the calling TopK's local stats.
-func (s *Session) verify(g graph.ID, theta float64, include func(graph.ID) bool, st *QueryStats) (int32, []int) {
-	st.VerifiedLeaves++
-	var nbrs []int
-	for _, id := range s.ix.vo.Candidates(g, theta, include) {
-		st.CandidateScans++
-		if id != g {
-			leq, pruned := metric.Decide(s.ix.m, g, id, theta)
-			if pruned {
-				st.PrunedDistances++
-			} else {
-				st.ExactDistances++
-			}
-			if !leq {
-				continue
-			}
-		}
-		nbrs = append(nbrs, s.relPos[id])
-	}
-	return int32(len(nbrs)), nbrs
-}
-
-// entry is a PQ element: a flat NB-Tree node index with its gain upper bound.
-type entry struct {
-	bound int32
-	node  int32
-}
-
-// entryHeap is a typed max-heap on bound, ties toward lower node index for
-// determinism. Entries are stored by value in one slice — no container/heap,
-// no interface boxing, no per-push allocation. (bound, node) keys are
-// unique at any instant — a node is re-pushed only after its stale entry is
-// popped — so the pop order is a strict total order independent of the heap
-// implementation.
-type entryHeap []entry
-
-func (h entryHeap) less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound > h[j].bound
-	}
-	return h[i].node < h[j].node
-}
-
-// push inserts e and sifts it up.
-func (h *entryHeap) push(e entry) {
-	*h = append(*h, e)
-	a := *h
-	for i := len(a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-// pop removes and returns the top entry.
-func (h *entryHeap) pop() entry {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && a.less(r, c) {
-			c = r
-		}
-		if !a.less(c, i) {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-	return top
 }
 
 // ChooseGridFromLog picks up to gridSize thresholds from a log of past

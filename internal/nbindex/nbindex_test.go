@@ -1,4 +1,7 @@
-package nbindex
+// The NB-Index tests build through shard.Build with one shard — the only
+// builder of a full-database index — and answer queries through
+// shard.Session, the one query loop over NB-Index parts.
+package nbindex_test
 
 import (
 	"fmt"
@@ -11,6 +14,8 @@ import (
 	"graphrep/internal/core"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
+	"graphrep/internal/nbindex"
+	"graphrep/internal/shard"
 	"graphrep/internal/vantage"
 )
 
@@ -79,31 +84,54 @@ func clusteredDB(t testing.TB, nFamilies, perFamily int, seed int64) (*graph.Dat
 	return db, metric.NewCache(metric.Star(db))
 }
 
-func buildIndex(t testing.TB, db *graph.Database, m metric.Metric, grid []float64, seed int64) *Index {
+// buildSet builds a one-shard index with 5 vantage points and fan-out 4.
+func buildSet(t testing.TB, db *graph.Database, m metric.Metric, grid []float64, seed int64) *shard.Set {
 	if t != nil {
 		t.Helper()
 	}
-	ix, err := Build(db, m, Options{NumVPs: 5, Branching: 4, ThetaGrid: grid}, rand.New(rand.NewSource(seed)))
+	set, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: 5, Branching: 4, ThetaGrid: grid}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
-	return ix
+	return set
+}
+
+// buildIndex is buildSet's one part: an NB-Index over the whole database.
+func buildIndex(t testing.TB, db *graph.Database, m metric.Metric, grid []float64, seed int64) *nbindex.Index {
+	if t != nil {
+		t.Helper()
+	}
+	return buildSet(t, db, m, grid, seed).Part(0)
+}
+
+// newSession opens a session on set for relevance, failing the test on error.
+func newSession(t testing.TB, set *shard.Set, relevance core.Relevance) *shard.Session {
+	t.Helper()
+	sess, err := set.NewSession(relevance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
 }
 
 func TestBuildErrors(t *testing.T) {
 	db, m := clusteredDB(t, 3, 5, 1)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Build(db, m, Options{NumVPs: 2, Branching: 2, ThetaGrid: nil}, rng); err == nil {
+	build := func(db *graph.Database, numVPs int, grid []float64) error {
+		_, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: numVPs, Branching: 2, ThetaGrid: grid}, rng)
+		return err
+	}
+	if err := build(db, 2, nil); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Build(db, m, Options{NumVPs: 2, Branching: 2, ThetaGrid: []float64{5, 3}}, rng); err == nil {
+	if err := build(db, 2, []float64{5, 3}); err == nil {
 		t.Error("unsorted grid accepted")
 	}
-	if _, err := Build(db, m, Options{NumVPs: 0, Branching: 2, ThetaGrid: []float64{1}}, rng); err == nil {
+	if err := build(db, 0, []float64{1}); err == nil {
 		t.Error("NumVPs=0 accepted")
 	}
 	empty, _ := graph.NewDatabase(nil)
-	if _, err := Build(empty, m, Options{NumVPs: 1, Branching: 2, ThetaGrid: []float64{1}}, rng); err == nil {
+	if err := build(empty, 1, []float64{1}); err == nil {
 		t.Error("empty db accepted")
 	}
 }
@@ -127,9 +155,9 @@ func TestGridSlot(t *testing.T) {
 // θ — both indexed and unindexed thresholds.
 func TestTopKMatchesBaselineGreedy(t *testing.T) {
 	db, m := clusteredDB(t, 5, 12, 4)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 5)
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16, 64}, 5)
 	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	sess := ix.NewSession(relevance)
+	sess := newSession(t, set, relevance)
 	for _, theta := range []float64{0, 1, 3, 4, 6.5, 10, 20, 100} {
 		for _, k := range []int{1, 3, 10} {
 			q := core.Query{Relevance: relevance, Theta: theta, K: k}
@@ -156,8 +184,8 @@ func TestTopKMatchesBaselineGreedy(t *testing.T) {
 
 func TestTopKEmptyRelevantSet(t *testing.T) {
 	db, m := clusteredDB(t, 2, 5, 6)
-	ix := buildIndex(t, db, m, []float64{4}, 7)
-	sess := ix.NewSession(func([]float64) bool { return false })
+	set := buildSet(t, db, m, []float64{4}, 7)
+	sess := newSession(t, set, func([]float64) bool { return false })
 	res, err := sess.TopK(4, 5)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
@@ -169,8 +197,8 @@ func TestTopKEmptyRelevantSet(t *testing.T) {
 
 func TestTopKArgErrors(t *testing.T) {
 	db, m := clusteredDB(t, 2, 5, 8)
-	ix := buildIndex(t, db, m, []float64{4}, 9)
-	sess := ix.NewSession(func([]float64) bool { return true })
+	set := buildSet(t, db, m, []float64{4}, 9)
+	sess := newSession(t, set, func([]float64) bool { return true })
 	if _, err := sess.TopK(-1, 3); err == nil {
 		t.Error("negative θ accepted")
 	}
@@ -183,9 +211,9 @@ func TestTopKArgErrors(t *testing.T) {
 // with fresh baseline runs — the session state must not leak across calls.
 func TestRefinementReusesSessionCorrectly(t *testing.T) {
 	db, m := clusteredDB(t, 4, 10, 10)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 11)
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16, 64}, 11)
 	relevance := func(f []float64) bool { return f[0] > 0.2 }
-	sess := ix.NewSession(relevance)
+	sess := newSession(t, set, relevance)
 	thetas := []float64{6, 5.4, 6.6, 4.9, 7.3, 6, 6} // zoom in/out pattern incl. repeats
 	for _, theta := range thetas {
 		want, err := core.BaselineGreedy(db, m, core.Query{Relevance: relevance, Theta: theta, K: 5})
@@ -217,9 +245,9 @@ func TestIndexSavesDistanceComputations(t *testing.T) {
 
 	counterIx := metric.NewCounter(base)
 	cached := metric.NewCache(counterIx)
-	ix := buildIndex(t, db, cached, []float64{2, 4, 8, 16, 64}, 13)
+	set := buildSet(t, db, cached, []float64{2, 4, 8, 16, 64}, 13)
 	buildCost := counterIx.Count()
-	sess := ix.NewSession(relevance)
+	sess := newSession(t, set, relevance)
 	if _, err := sess.TopK(theta, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -230,76 +258,6 @@ func TestIndexSavesDistanceComputations(t *testing.T) {
 	st := sess.LastStats()
 	if st.VerifiedLeaves == 0 || st.PQPops == 0 {
 		t.Errorf("stats not recorded: %+v", st)
-	}
-}
-
-func TestPiHatIsUpperBoundOnNeighborhoods(t *testing.T) {
-	db, m := clusteredDB(t, 4, 8, 14)
-	grid := []float64{2, 4, 8, 16, 64}
-	ix := buildIndex(t, db, m, grid, 15)
-	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	sess := ix.NewSession(relevance)
-	rel := core.Relevant(db, relevance)
-	for _, id := range rel {
-		row := sess.piHat[ix.leafOf[id]]
-		if row == nil {
-			t.Fatalf("relevant graph %d has no π̂-vector", id)
-		}
-		for slot, theta := range grid {
-			// True |N_θ(id) ∩ L_q|.
-			n := 0
-			for _, other := range rel {
-				if m.Distance(id, other) <= theta {
-					n++
-				}
-			}
-			if int(row[slot]) < n {
-				t.Fatalf("π̂[%d][θ=%v] = %d < true %d", id, theta, row[slot], n)
-			}
-		}
-		// π̂ must be monotone in θ.
-		for s := 1; s < len(row); s++ {
-			if row[s] < row[s-1] {
-				t.Fatalf("π̂ not monotone for %d: %v", id, row)
-			}
-		}
-	}
-}
-
-// NewSessionAt initializes at one direct threshold; the answer must match
-// the full-grid session at that threshold, and other thresholds must remain
-// correct through the trivial-bound fallback.
-func TestNewSessionAtDirectInit(t *testing.T) {
-	db, m := clusteredDB(t, 4, 10, 30)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 31)
-	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	theta := 5.5
-	direct := ix.NewSessionAt(relevance, theta)
-	full := ix.NewSession(relevance)
-	a, err := direct.TopK(theta, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := full.TopK(theta, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Answer, b.Answer) || a.Power != b.Power {
-		t.Fatalf("direct session differs: %v vs %v", a.Answer, b.Answer)
-	}
-	// Off-threshold queries on a direct session stay correct (just slower).
-	for _, other := range []float64{2, 9} {
-		want, err := core.BaselineGreedy(db, m, core.Query{Relevance: relevance, Theta: other, K: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := direct.TopK(other, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Answer, want.Answer) {
-			t.Fatalf("θ=%v on direct session: %v, want %v", other, got.Answer, want.Answer)
-		}
 	}
 }
 
@@ -320,7 +278,8 @@ func TestCrossEngineEquivalenceSoak(t *testing.T) {
 			grid = append(grid, v)
 			v *= 1.5 + rng.Float64()*2
 		}
-		ix, err := Build(db, m, Options{
+		set, err := shard.Build(db, m, shard.Options{
+			Shards:    1,
 			NumVPs:    1 + rng.Intn(7),
 			Branching: 2 + rng.Intn(6),
 			ThetaGrid: grid,
@@ -330,7 +289,7 @@ func TestCrossEngineEquivalenceSoak(t *testing.T) {
 		}
 		cut := rng.Float64() * 0.8
 		relevance := func(f []float64) bool { return f[0] > cut }
-		sess := ix.NewSession(relevance)
+		sess := newSession(t, set, relevance)
 		for q := 0; q < 4; q++ {
 			theta := rng.Float64() * grid[len(grid)-1] * 1.5
 			k := 1 + rng.Intn(12)
@@ -349,13 +308,13 @@ func TestCrossEngineEquivalenceSoak(t *testing.T) {
 	}
 }
 
-// An Index is immutable after Build: concurrent sessions (each with its own
+// An index is immutable after Build: concurrent sessions (each with its own
 // working state) must produce the same answers as sequential ones.
 func TestConcurrentSessions(t *testing.T) {
 	db, m := clusteredDB(t, 4, 10, 90)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 91)
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16, 64}, 91)
 	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	want, err := ix.NewSession(relevance).TopK(5, 6)
+	want, err := newSession(t, set, relevance).TopK(5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +322,12 @@ func TestConcurrentSessions(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				got, err := ix.NewSession(relevance).TopK(5, 6)
+				sess, err := set.NewSession(relevance)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := sess.TopK(5, 6)
 				if err != nil {
 					errs <- err
 					return
@@ -385,7 +349,7 @@ func TestConcurrentSessions(t *testing.T) {
 
 func TestChooseGridFromLog(t *testing.T) {
 	log := []float64{5, 12, 12, 16, 20, 25, 30, 35, 40, 75, 100}
-	grid := ChooseGridFromLog(log, 5)
+	grid := nbindex.ChooseGridFromLog(log, 5)
 	if len(grid) == 0 || !sort.Float64sAreSorted(grid) {
 		t.Fatalf("grid = %v", grid)
 	}
@@ -397,10 +361,10 @@ func TestChooseGridFromLog(t *testing.T) {
 			t.Errorf("duplicate values: %v", grid)
 		}
 	}
-	if ChooseGridFromLog(nil, 5) != nil {
+	if nbindex.ChooseGridFromLog(nil, 5) != nil {
 		t.Error("empty log returned a grid")
 	}
-	if ChooseGridFromLog(log, 0) != nil {
+	if nbindex.ChooseGridFromLog(log, 0) != nil {
 		t.Error("gridSize=0 returned a grid")
 	}
 }
@@ -408,7 +372,7 @@ func TestChooseGridFromLog(t *testing.T) {
 func TestChooseGrid(t *testing.T) {
 	db, m := clusteredDB(t, 5, 8, 16)
 	rng := rand.New(rand.NewSource(17))
-	grid := ChooseGrid(db, m, 8, 300, rng)
+	grid := nbindex.ChooseGrid(db, m, 8, 300, rng)
 	if len(grid) == 0 {
 		t.Fatal("empty grid")
 	}
@@ -421,11 +385,11 @@ func TestChooseGrid(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	if g := ChooseGrid(db, m, 0, 10, rng); g != nil {
+	if g := nbindex.ChooseGrid(db, m, 0, 10, rng); g != nil {
 		t.Errorf("gridSize=0 returned %v", g)
 	}
 	single, _ := graph.NewDatabase(nil)
-	if g := ChooseGrid(single, m, 4, 10, rng); g != nil {
+	if g := nbindex.ChooseGrid(single, m, 4, 10, rng); g != nil {
 		t.Errorf("tiny db returned %v", g)
 	}
 }
@@ -433,7 +397,8 @@ func TestChooseGrid(t *testing.T) {
 func TestAccessorsAndFootprint(t *testing.T) {
 	db, m := clusteredDB(t, 3, 6, 18)
 	grid := []float64{2, 8}
-	ix := buildIndex(t, db, m, grid, 19)
+	set := buildSet(t, db, m, grid, 19)
+	ix := set.Part(0)
 	if ix.Tree() == nil || ix.VO() == nil {
 		t.Fatal("nil components")
 	}
@@ -443,7 +408,7 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	if ix.Bytes() <= 0 {
 		t.Error("Bytes <= 0")
 	}
-	sess := ix.NewSession(func([]float64) bool { return true })
+	sess := newSession(t, set, func([]float64) bool { return true })
 	if sess.RelevantCount() != db.Len() {
 		t.Errorf("RelevantCount = %d", sess.RelevantCount())
 	}
@@ -459,11 +424,11 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	relevance := func(f []float64) bool { return f[0] > 0.25 }
 	run := func(numVPs int) int {
 		m := metric.NewCache(base)
-		ix, err := Build(db, m, Options{NumVPs: numVPs, VPPolicy: vantage.SelectMaxMin, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}}, rand.New(rand.NewSource(21)))
+		set, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: numVPs, VPPolicy: vantage.SelectMaxMin, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}}, rand.New(rand.NewSource(21)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := ix.NewSession(relevance)
+		sess := newSession(t, set, relevance)
 		if _, err := sess.TopK(4, 8); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package nbindex
 
-import (
-	"context"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ThetaPoint is one row of a threshold sweep: the answer quality obtained at
 // one θ.
@@ -16,51 +12,6 @@ type ThetaPoint struct {
 	CR float64
 	// AnswerSize is |A| (may be under k when coverage saturates).
 	AnswerSize int
-}
-
-// SweepTheta answers the query at every indexed threshold (plus any extra
-// thresholds given) and reports the quality trade-off curve. This powers the
-// "optimal zoom level" workflow of §7: rather than guessing θ, a user sweeps
-// the indexed grid — cheap, because the session is reused — and picks the
-// level whose coverage/granularity trade-off fits the task.
-func (s *Session) SweepTheta(k int, extra ...float64) ([]ThetaPoint, error) {
-	return s.SweepThetaContext(context.Background(), k, extra...)
-}
-
-// SweepThetaContext is SweepTheta with cancellation: the context is passed
-// to every per-threshold TopK call, so an expired deadline or a dropped
-// client aborts the sweep between (or inside) thresholds with ctx.Err().
-func (s *Session) SweepThetaContext(ctx context.Context, k int, extra ...float64) ([]ThetaPoint, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("nbindex: non-positive k %d", k)
-	}
-	thetas := append(append([]float64(nil), s.grid...), extra...)
-	sort.Float64s(thetas)
-	// Deduplicate.
-	out := thetas[:0]
-	for i, t := range thetas {
-		if i == 0 || t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	thetas = out
-	points := make([]ThetaPoint, 0, len(thetas))
-	for _, theta := range thetas {
-		if theta < 0 {
-			return nil, fmt.Errorf("nbindex: negative theta %v in sweep", theta)
-		}
-		res, err := s.TopKContext(ctx, theta, k)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, ThetaPoint{
-			Theta:      theta,
-			Power:      res.Power,
-			CR:         res.CompressionRatio(),
-			AnswerSize: len(res.Answer),
-		})
-	}
-	return points, nil
 }
 
 // SuggestTheta picks the knee of a sweep curve: the threshold after which

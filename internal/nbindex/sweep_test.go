@@ -1,16 +1,18 @@
-package nbindex
+package nbindex_test
 
 import (
 	"math"
 	"sort"
 	"testing"
+
+	"graphrep/internal/nbindex"
 )
 
 func TestSweepThetaCurve(t *testing.T) {
 	db, m := clusteredDB(t, 5, 12, 80)
 	grid := []float64{2, 4, 8, 16, 64}
-	ix := buildIndex(t, db, m, grid, 81)
-	sess := ix.NewSession(func(f []float64) bool { return f[0] > 0.25 })
+	set := buildSet(t, db, m, grid, 81)
+	sess := newSession(t, set, func(f []float64) bool { return f[0] > 0.25 })
 	points, err := sess.SweepTheta(8, 6) // grid plus one extra threshold
 	if err != nil {
 		t.Fatalf("SweepTheta: %v", err)
@@ -40,8 +42,8 @@ func TestSweepThetaCurve(t *testing.T) {
 
 func TestSweepThetaErrors(t *testing.T) {
 	db, m := clusteredDB(t, 2, 5, 82)
-	ix := buildIndex(t, db, m, []float64{4}, 83)
-	sess := ix.NewSession(func([]float64) bool { return true })
+	set := buildSet(t, db, m, []float64{4}, 83)
+	sess := newSession(t, set, func([]float64) bool { return true })
 	if _, err := sess.SweepTheta(0); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -52,26 +54,26 @@ func TestSweepThetaErrors(t *testing.T) {
 
 func TestSuggestTheta(t *testing.T) {
 	// Synthetic curve with an obvious knee at θ=4 (power saturates there).
-	points := []ThetaPoint{
+	points := []nbindex.ThetaPoint{
 		{Theta: 1, Power: 0.1},
 		{Theta: 2, Power: 0.35},
 		{Theta: 4, Power: 0.8},
 		{Theta: 8, Power: 0.85},
 		{Theta: 16, Power: 0.9},
 	}
-	best, err := SuggestTheta(points)
+	best, err := nbindex.SuggestTheta(points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Theta != 4 {
 		t.Errorf("knee at θ=%v, want 4", best.Theta)
 	}
-	if _, err := SuggestTheta(nil); err == nil {
+	if _, err := nbindex.SuggestTheta(nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
 	// Degenerate flat-zero curve returns the first point.
-	flat := []ThetaPoint{{Theta: 0, Power: 0}, {Theta: 1, Power: 0}}
-	if got, err := SuggestTheta(flat); err != nil || got.Theta != 0 {
+	flat := []nbindex.ThetaPoint{{Theta: 0, Power: 0}, {Theta: 1, Power: 0}}
+	if got, err := nbindex.SuggestTheta(flat); err != nil || got.Theta != 0 {
 		t.Errorf("flat curve: %+v, %v", got, err)
 	}
 }
@@ -79,16 +81,16 @@ func TestSuggestTheta(t *testing.T) {
 func TestSweepMatchesIndividualQueries(t *testing.T) {
 	db, m := clusteredDB(t, 4, 8, 84)
 	grid := []float64{2, 8, 32}
-	ix := buildIndex(t, db, m, grid, 85)
+	set := buildSet(t, db, m, grid, 85)
 	rel := func(f []float64) bool { return f[0] > 0.3 }
-	sess := ix.NewSession(rel)
+	sess := newSession(t, set, rel)
 	points, err := sess.SweepTheta(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].Theta < points[j].Theta })
 	for _, p := range points {
-		res, err := ix.NewSession(rel).TopK(p.Theta, 5)
+		res, err := newSession(t, set, rel).TopK(p.Theta, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

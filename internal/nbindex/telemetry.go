@@ -4,14 +4,14 @@ import (
 	"graphrep/internal/telemetry"
 )
 
-// workBuckets covers the per-query work counters (PQ pops, verified leaves,
+// workBuckets covers the per-query work counters (frontier visits, verified leaves,
 // candidate scans, exact distances), which range from a handful on tiny
 // relevant sets to hundreds of thousands on large ones.
 var workBuckets = telemetry.ExponentialBuckets(1, 4, 10) // 1 … 262144
 
 // Telemetry folds the QueryStats of every completed TopK call into
 // cumulative per-phase histograms, giving a running picture of how hard the
-// index is working: how many priority-queue pops, verified leaves, candidate
+// index is working: how many frontier visits, verified leaves, candidate
 // scans, and exact distance computations queries cost — the paper's §8
 // efficiency measures, aggregated across the process lifetime instead of
 // per query. All updates are atomic; one Telemetry may be shared by any
@@ -36,7 +36,7 @@ func NewTelemetry(r *telemetry.Registry) (*Telemetry, error) {
 		return nil, err
 	}
 	if t.PQPops, err = r.NewHistogram("graphrep_nbindex_pq_pops",
-		"Priority-queue pops per TopK call (Alg. 2 search effort).", workBuckets); err != nil {
+		"Frontier visits per TopK call (Alg. 2 search effort).", workBuckets); err != nil {
 		return nil, err
 	}
 	if t.VerifiedLeaves, err = r.NewHistogram("graphrep_nbindex_verified_leaves",
@@ -59,9 +59,8 @@ func NewTelemetry(r *telemetry.Registry) (*Telemetry, error) {
 }
 
 // Observe folds one query's stats in. Nil-safe so the query path needs no
-// branch at the call site beyond the method call itself. Exported for the
-// internal/shard coordinator, whose scatter-gather TopK reports through the
-// same aggregator as single-index sessions.
+// branch at the call site beyond the method call itself. internal/shard's
+// sessions report every TopK call through it.
 func (t *Telemetry) Observe(st QueryStats) {
 	if t == nil {
 		return
@@ -88,13 +87,3 @@ func (t *Telemetry) Totals() QueryStats {
 		PrunedDistances: int(t.PrunedDistances.Sum()),
 	}
 }
-
-// SetTelemetry attaches an aggregator to the index: every TopK call on every
-// session of this index (existing and future) folds its QueryStats in. Pass
-// nil to detach. Safe to call concurrently with queries; a query that is
-// already past its final stats store reports to whichever aggregator was
-// attached when it finished.
-func (ix *Index) SetTelemetry(t *Telemetry) { ix.tel.Store(t) }
-
-// Telemetry returns the attached aggregator, or nil.
-func (ix *Index) Telemetry() *Telemetry { return ix.tel.Load() }

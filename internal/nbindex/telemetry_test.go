@@ -1,4 +1,4 @@
-package nbindex
+package nbindex_test
 
 import (
 	"errors"
@@ -9,23 +9,24 @@ import (
 	"testing"
 
 	"graphrep/internal/graph"
+	"graphrep/internal/nbindex"
 	"graphrep/internal/telemetry"
 )
 
 func TestTelemetryAggregatesQueryStats(t *testing.T) {
 	db, m := clusteredDB(t, 4, 10, 11)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16}, 12)
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16}, 12)
 	reg := telemetry.NewRegistry()
-	tel, err := NewTelemetry(reg)
+	tel, err := nbindex.NewTelemetry(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetTelemetry(tel)
-	if ix.Telemetry() != tel {
+	set.SetTelemetry(tel)
+	if set.Telemetry() != tel {
 		t.Fatal("Telemetry() did not return the attached aggregator")
 	}
-	sess := ix.NewSession(func(f []float64) bool { return f[0] > 0.3 })
-	var want QueryStats
+	sess := newSession(t, set, func(f []float64) bool { return f[0] > 0.3 })
+	var want nbindex.QueryStats
 	thetas := []float64{2, 5, 10, 0}
 	for _, theta := range thetas {
 		if _, err := sess.TopK(theta, 4); err != nil {
@@ -64,11 +65,11 @@ func TestTelemetryAggregatesQueryStats(t *testing.T) {
 		}
 	}
 	// Registering the family twice on one registry fails cleanly.
-	if _, err := NewTelemetry(reg); !errors.Is(err, telemetry.ErrDuplicate) {
+	if _, err := nbindex.NewTelemetry(reg); !errors.Is(err, telemetry.ErrDuplicate) {
 		t.Errorf("second NewTelemetry: err = %v, want ErrDuplicate", err)
 	}
 	// Detaching stops aggregation.
-	ix.SetTelemetry(nil)
+	set.SetTelemetry(nil)
 	if _, err := sess.TopK(5, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +81,20 @@ func TestTelemetryAggregatesQueryStats(t *testing.T) {
 // A zero-relevant query still counts as a query and records zero work.
 func TestTelemetryEmptyRelevantSet(t *testing.T) {
 	db, m := clusteredDB(t, 2, 5, 13)
-	ix := buildIndex(t, db, m, []float64{4}, 14)
-	tel, err := NewTelemetry(telemetry.NewRegistry())
+	set := buildSet(t, db, m, []float64{4}, 14)
+	tel, err := nbindex.NewTelemetry(telemetry.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetTelemetry(tel)
-	sess := ix.NewSession(func([]float64) bool { return false })
+	set.SetTelemetry(tel)
+	sess := newSession(t, set, func([]float64) bool { return false })
 	if _, err := sess.TopK(4, 3); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Queries.Value() != 1 {
 		t.Errorf("queries = %d, want 1", tel.Queries.Value())
 	}
-	if got := tel.Totals(); got != (QueryStats{}) {
+	if got := tel.Totals(); got != (nbindex.QueryStats{}) {
 		t.Errorf("totals = %+v, want zero", got)
 	}
 }
@@ -104,14 +105,14 @@ func TestTelemetryEmptyRelevantSet(t *testing.T) {
 // updates. Run with -race.
 func TestTopKConcurrent(t *testing.T) {
 	db, m := clusteredDB(t, 5, 12, 21)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 22)
-	tel, err := NewTelemetry(telemetry.NewRegistry())
+	set := buildSet(t, db, m, []float64{2, 4, 8, 16, 64}, 22)
+	tel, err := nbindex.NewTelemetry(telemetry.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetTelemetry(tel)
+	set.SetTelemetry(tel)
 	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	sess := ix.NewSession(relevance)
+	sess := newSession(t, set, relevance)
 	thetas := []float64{1, 3, 4, 6.5, 10, 20, 100}
 	// Sequential ground truth per θ.
 	want := make(map[float64]string, len(thetas))
@@ -135,7 +136,11 @@ func TestTopKConcurrent(t *testing.T) {
 			// exercising both sharing modes concurrently.
 			s := sess
 			if w%2 == 1 {
-				s = ix.NewSession(relevance)
+				var err error
+				if s, err = set.NewSession(relevance); err != nil {
+					errs <- err
+					return
+				}
 			}
 			for i := 0; i < iters; i++ {
 				theta := thetas[(w+i)%len(thetas)]

@@ -494,7 +494,6 @@ type PruneResponse struct {
 	Embedding    int64 `json:"embedding"`
 	RowMin       int64 `json:"rowMin"`
 	Greedy       int64 `json:"greedy"`
-	Dual         int64 `json:"dual"`
 	BoundedExact int64 `json:"boundedExact"`
 }
 
@@ -524,7 +523,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Embedding:    snap.Prune.Embedding,
 			RowMin:       snap.Prune.RowMin,
 			Greedy:       snap.Prune.Greedy,
-			Dual:         snap.Prune.Dual,
 			BoundedExact: snap.Prune.BoundedExact,
 		},
 	})

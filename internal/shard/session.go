@@ -16,50 +16,35 @@ import (
 	"graphrep/internal/pool"
 )
 
-// QuerySession is the query-time surface shared by the single-shard session
-// (nbindex.Session, used when the set has one shard) and the multi-shard
-// coordinator session. Engines program against this interface so the shard
-// count never leaks into the query API.
-type QuerySession interface {
-	TopK(theta float64, k int) (*core.Result, error)
-	TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error)
-	SweepTheta(k int, extra ...float64) ([]nbindex.ThetaPoint, error)
-	SweepThetaContext(ctx context.Context, k int, extra ...float64) ([]nbindex.ThetaPoint, error)
-	LastStats() nbindex.QueryStats
-	RelevantCount() int
-	PiHatBytes() int64
-}
-
 // NewSession runs the initialization phase for relevance function q. See
 // NewSessionContext.
-func (s *Set) NewSession(q core.Relevance) (QuerySession, error) {
+func (s *Set) NewSession(q core.Relevance) (*Session, error) {
 	return s.NewSessionContext(context.Background(), q)
 }
 
 // NewSessionContext runs the initialization phase for relevance function q:
 // one global π̂ row per relevant graph, assembled by scanning every shard's
-// vantage ordering with the graph's shared-VP coordinates. With one shard it
-// returns the plain nbindex session (identical behavior and stats to the
-// unsharded engine); with more it returns the scatter-gather coordinator.
-func (s *Set) NewSessionContext(ctx context.Context, q core.Relevance) (QuerySession, error) {
+// vantage ordering with the graph's shared-VP coordinates. One session type
+// serves every shard count, including one.
+func (s *Set) NewSessionContext(ctx context.Context, q core.Relevance) (*Session, error) {
 	// A database opened from a GRDB001 container defers its content
 	// validation to first use; settle it before any session traverses graph
 	// structure. Repeat sessions hit the cached verdict.
 	if err := s.db.EnsureValid(); err != nil {
 		return nil, fmt.Errorf("shard: graph store: %w", err)
 	}
-	if len(s.parts) == 1 {
-		return s.parts[0].NewSessionContext(ctx, q)
-	}
-	return newCoordSession(ctx, s, q)
+	return newSession(ctx, s, q)
 }
 
-// coordSession is the coordinator's initialization state for one relevance
-// function: the global π̂ row of every relevant graph, stored at the graph's
-// leaf in its home shard's tree. After initialization it is read-only apart
-// from the mutex-guarded LastStats bookkeeping, so concurrent TopK calls are
-// safe, exactly like nbindex.Session.
-type coordSession struct {
+// Session is the initialization phase for one relevance function (§7): the
+// global π̂ row of every relevant graph, stored at the graph's leaf in its
+// home shard's tree. A Session answers any number of TopK calls at varying θ
+// (interactive refinement) without repeating the initialization. After
+// initialization it is read-only apart from the mutex-guarded LastStats
+// bookkeeping, so TopK and SweepTheta are safe to call from multiple
+// goroutines concurrently. The set must not be mutated (Insert) while
+// queries are in flight.
+type Session struct {
 	set  *Set
 	grid []float64
 	rel  []graph.ID
@@ -72,7 +57,7 @@ type coordSession struct {
 	lastStats nbindex.QueryStats // guarded by statsMu
 }
 
-func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSession, error) {
+func newSession(ctx context.Context, set *Set, q core.Relevance) (*Session, error) {
 	// Parts loaded from a mapped v4 container defer their content
 	// validation to first use; settle it for every shard before any
 	// navigation below. Repeat sessions hit the cached verdict.
@@ -81,7 +66,7 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 			return nil, fmt.Errorf("shard %d: %w", p, err)
 		}
 	}
-	s := &coordSession{set: set, grid: set.grid}
+	s := &Session{set: set, grid: set.grid}
 	s.rel = core.Relevant(set.db, q)
 	s.relPos = make([]int, set.db.Len())
 	for i := range s.relPos {
@@ -96,7 +81,7 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 	}
 	// Global π̂ rows: one coordinate row per relevant graph, scanned against
 	// every shard. Each shard scan covers a disjoint ID range, so the summed
-	// row equals the unsharded single-scan row exactly (same candidates, same
+	// row equals the one-shard single-scan row exactly (same candidates, same
 	// vantage lower bounds, hence the same grid slots). Rows are independent
 	// and each lands in its own piHat slot, so the scans run on the worker
 	// pool without affecting the result.
@@ -128,17 +113,17 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 }
 
 // RelevantCount returns |L_q| for the session.
-func (s *coordSession) RelevantCount() int { return len(s.rel) }
+func (s *Session) RelevantCount() int { return len(s.rel) }
 
 // LastStats returns statistics from the most recently completed TopK call.
-func (s *coordSession) LastStats() nbindex.QueryStats {
+func (s *Session) LastStats() nbindex.QueryStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	return s.lastStats
 }
 
 // PiHatBytes reports the memory consumed by the π̂ rows.
-func (s *coordSession) PiHatBytes() int64 {
+func (s *Session) PiHatBytes() int64 {
 	var b int64
 	for _, rows := range s.piHat {
 		for _, row := range rows {
@@ -148,9 +133,9 @@ func (s *coordSession) PiHatBytes() int64 {
 	return b
 }
 
-// TopK runs the scatter-gather greedy at threshold theta with budget k. See
-// TopKContext.
-func (s *coordSession) TopK(theta float64, k int) (*core.Result, error) {
+// TopK runs the search-and-update phase (Alg. 2 driven greedy) at threshold
+// theta with budget k. See TopKContext.
+func (s *Session) TopK(theta float64, k int) (*core.Result, error) {
 	return s.TopKContext(context.Background(), theta, k)
 }
 
@@ -165,13 +150,28 @@ func (s *coordSession) TopK(theta float64, k int) (*core.Result, error) {
 // vantage ordering, and those read-only scans also run on the pool. Bounds
 // are admissible and every candidate whose bound reaches the best verified
 // gain is verified, so the pick is the exact greedy argmax with ties toward
-// the lower graph ID — the same answer as the unsharded engine, for any
-// shard count and any worker count (the threshold tests that consult mutable
-// metric state stay serial in list order, so QueryStats are
-// worker-independent too). Cancellation mirrors nbindex: checked on entry,
-// at every greedy pick, before every verification, and inside every pool
-// fan-out.
-func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
+// the lower graph ID — the baseline greedy's answer (picks stop when no
+// candidate improves coverage), for any shard count and any worker count
+// (the threshold tests that consult mutable metric state stay serial in list
+// order, so QueryStats are worker-independent too). Cancellation is checked
+// on entry, at every greedy pick, before every verification, and inside
+// every pool fan-out; a cancelled query returns ctx.Err() without publishing
+// stats.
+//
+// # Update rule
+//
+// Instead of re-deriving Theorems 6–8 literally, the update step uses an
+// equivalent credit-propagation formulation that is easier to prove sound:
+// when graph l becomes covered, one credit is added at the highest NB-Tree
+// ancestor a of l with diameter(a) ≤ θ in l's home shard. For every graph g'
+// under a, l is guaranteed inside N_θ(g') (d(g', l) ≤ diameter(a) ≤ θ,
+// Theorem 7's argument), so the marginal-gain bound of every such g' may
+// permanently drop by one. Summed over the members of a covered cluster this
+// reproduces the |c_q| batch subtraction of Theorems 7–8, and clusters beyond
+// reach are never credited, which is Theorem 6. Each covered graph is
+// credited exactly once, so bounds never under-count and Alg. 2's pruning
+// stays admissible.
+func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
 	if math.IsNaN(theta) {
 		return nil, fmt.Errorf("shard: theta is NaN")
 	}
@@ -198,10 +198,9 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		return res, nil
 	}
 
-	// Per-shard bound state at this θ, mirroring nbindex.Session.TopKContext:
-	// leaf bounds come from the smallest session-grid threshold ≥ θ, F is the
-	// per-subtree running maximum, sub holds the permanent credit
-	// subtractions. Only the containing tree differs per shard.
+	// Per-shard bound state at this θ: leaf bounds come from the smallest
+	// session-grid threshold ≥ θ, F is the per-subtree running maximum, sub
+	// holds the permanent credit subtractions.
 	slot := sort.SearchFloat64s(s.grid, theta)
 	leafBound := func(p, idx int) int32 {
 		row := s.piHat[p][idx]
@@ -307,7 +306,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		// per-node ancestor walks). Bounds are frozen during a pick — credits
 		// apply only after it completes — so each shard's frontier is
 		// independent of the others and of the worker count; only wall time
-		// changes. The traversal visit counts land in PQPops, the coordinator's
+		// changes. The traversal visit counts land in PQPops, the search's
 		// frontier-work measure.
 		perShard := make([][]frontierCand, len(parts))
 		visits := make([]int, len(parts))
@@ -342,7 +341,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 			return nil, err
 		}
 		// Merge serially into one list ordered by (bound desc, shard, node) —
-		// the same total order the coordinator heap used to pop leaves in.
+		// the order a best-first heap over the same bounds pops leaves in.
 		var list []frontierCand
 		for p, cs := range perShard {
 			st.PQPops += visits[p]
@@ -366,8 +365,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		// Walk the merged frontier in bound order. Candidates whose bound
 		// reaches the best verified gain are verified exactly; bounds equal to
 		// the best gain are still explored so that ties resolve toward the
-		// lowest graph ID, matching the unsharded search and the baseline
-		// greedy. After the first verification pins a gain, the remaining
+		// lowest graph ID, matching the baseline greedy. After the first verification pins a gain, the remaining
 		// still-qualifying candidates' scans are prefetched in one parallel
 		// scatter — the scans are pure reads (see collect), while the
 		// threshold tests below stay serial in list order: metric.Decide's
@@ -457,16 +455,20 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 	return res, nil
 }
 
-// SweepTheta answers the query at every indexed threshold (plus extras). See
-// SweepThetaContext.
-func (s *coordSession) SweepTheta(k int, extra ...float64) ([]nbindex.ThetaPoint, error) {
+// SweepTheta answers the query at every indexed threshold (plus any extra
+// thresholds given) and reports the quality trade-off curve. This powers the
+// "optimal zoom level" workflow of §7: rather than guessing θ, a user sweeps
+// the indexed grid — cheap, because the session is reused — and picks the
+// level whose coverage/granularity trade-off fits the task.
+func (s *Session) SweepTheta(k int, extra ...float64) ([]nbindex.ThetaPoint, error) {
 	return s.SweepThetaContext(context.Background(), k, extra...)
 }
 
-// SweepThetaContext mirrors nbindex's sweep over the coordinator: the shared
-// grid plus any extra thresholds, deduplicated ascending, one TopKContext
-// each.
-func (s *coordSession) SweepThetaContext(ctx context.Context, k int, extra ...float64) ([]nbindex.ThetaPoint, error) {
+// SweepThetaContext is SweepTheta with cancellation: the shared grid plus
+// any extra thresholds, deduplicated ascending, one TopKContext each, so an
+// expired deadline or a dropped client aborts the sweep between (or inside)
+// thresholds with ctx.Err().
+func (s *Session) SweepThetaContext(ctx context.Context, k int, extra ...float64) ([]nbindex.ThetaPoint, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: non-positive k %d", k)
 	}
@@ -507,7 +509,7 @@ type frontierFrame struct {
 }
 
 // frontierCand is one candidate leaf a shard's frontier produced: its current
-// gain upper bound and identity. The coordinator merges the per-shard lists
+// gain upper bound and identity. TopKContext merges the per-shard lists
 // by (bound desc, part, node) — the same total order the best-first pop
 // sequence follows — so the serial verification walk is deterministic for
 // any worker count.

@@ -8,18 +8,26 @@
 // # Determinism contract
 //
 // Every shard shares one global vantage point set and one global θ grid,
-// both drawn from the build RNG exactly as the unsharded build draws them.
+// both drawn from the build RNG before any shard is built.
 // A graph's embedding coordinates (its distances to the global VPs) are
 // therefore valid against any shard's sorted views, so cross-shard candidate
 // scans cost zero extra distance computations and the union of per-shard
-// candidate sets equals the unsharded candidate set exactly. π̂ rows summed
-// across shards equal the unsharded rows, bounds stay admissible, and the
-// coordinator's best-first search verifies every candidate whose bound
-// reaches the best verified gain — so answers are byte-identical to the
-// unsharded engine for any shard count (per-query work counters do vary
-// with the shard count, since each count's forest has its own shape).
-// With one shard the build passes the global RNG straight through and
-// produces bit-identical index bytes to the pre-shard engine.
+// candidate sets equals the one-shard candidate set exactly. π̂ rows summed
+// across shards equal the one-shard rows, bounds stay admissible, and the
+// best-first search verifies every candidate whose bound reaches the best
+// verified gain — so answers are byte-identical for any shard count, one
+// included (per-query work counters do vary with the shard count, since
+// each count's forest has its own shape).
+//
+// # Query processing
+//
+// A Session corresponds to the paper's initialization phase: for a fixed
+// relevance function it computes the π̂-vector of every relevant graph with
+// one vantage scan per shard, and propagates ceilings up each shard's
+// NB-Tree (Eq. 14). Session.TopK runs the search-and-update phase at any θ;
+// calling it again with a refined θ reuses the initialization, which is
+// exactly the interactive zoom scenario of Fig. 6(i). One Session type
+// serves every shard count.
 package shard
 
 import (
@@ -96,8 +104,7 @@ type Set struct {
 	parts   []*nbindex.Index
 	workers int
 	timing  nbindex.BuildTiming
-	// tel, when set, aggregates QueryStats across every coordinator query;
-	// it is also attached to each part so single-shard sessions report to it.
+	// tel, when set, aggregates QueryStats across every session's queries.
 	tel atomic.Pointer[nbindex.Telemetry]
 }
 
@@ -107,9 +114,8 @@ func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*S
 }
 
 // BuildContext constructs a sharded NB-Index. The global vantage point set
-// is selected from rng exactly as the unsharded build selects it; with one
-// shard rng then drives the tree build directly (bit-identical bytes to the
-// unsharded index), and with S > 1 each shard derives its own seed from rng
+// is selected from rng first; with one shard rng then drives the tree build
+// directly, and with S > 1 each shard derives its own seed from rng
 // sequentially and the shard builds run concurrently on the worker pool —
 // every randomized decision is pinned before the fan-out, so the set is
 // identical for any Workers value. Cancellation is observed at phase
@@ -144,7 +150,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 	}
 	if len(plan) == 1 {
 		// Single shard: keep consuming the caller's RNG stream directly so
-		// the part is bit-identical to the pre-shard (unsharded) index.
+		// the part's bytes match indexes saved before sharding existed.
 		part, err := nbindex.BuildPartContext(ctx, db, m, vps, opt.ThetaGrid,
 			plan[0].Base, plan[0].Count, opt.Branching, opt.Workers, rng)
 		if err != nil {
@@ -215,22 +221,14 @@ func (s *Set) Timing() nbindex.BuildTiming { return s.timing }
 
 // SetWorkers bounds the goroutines later session initializations use
 // (≤ 0 means GOMAXPROCS). Useful after Read, which has no Options.
-func (s *Set) SetWorkers(w int) {
-	s.workers = w
-	for _, part := range s.parts {
-		part.SetWorkers(w)
-	}
-}
+func (s *Set) SetWorkers(w int) { s.workers = w }
 
 // SetTelemetry attaches an aggregator: every TopK call on every session of
-// this set (coordinator or single-shard) folds its QueryStats in. Pass nil
-// to detach.
-func (s *Set) SetTelemetry(t *nbindex.Telemetry) {
-	s.tel.Store(t)
-	for _, part := range s.parts {
-		part.SetTelemetry(t)
-	}
-}
+// this set (existing and future) folds its QueryStats in. Pass nil to
+// detach. Safe to call concurrently with queries; a query already past its
+// final stats store reports to whichever aggregator was attached when it
+// finished.
+func (s *Set) SetTelemetry(t *nbindex.Telemetry) { s.tel.Store(t) }
 
 // Telemetry returns the attached aggregator, or nil.
 func (s *Set) Telemetry() *nbindex.Telemetry { return s.tel.Load() }

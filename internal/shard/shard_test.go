@@ -73,49 +73,43 @@ func testSet(t *testing.T, n, shards int, seed int64) (*Set, *graph.Database, me
 	return set, db, m
 }
 
-// TestCoordSessionStatsParitySingleShard runs the coordinator machinery over
-// a 1-shard set and compares it against the plain nbindex session on the same
-// part: answers AND QueryStats must match exactly — the coordinator's
-// scatter-gather degenerates to precisely the unsharded search when there is
-// nothing to scatter over. The one exception is PQPops: the coordinator
-// advances per-shard frontiers by enumerating the positive-bound subtree
-// (parallel, no evolving best-gain cut) where the plain session runs a
-// best-first search with lazy pruning, so the coordinator's traversal count
-// is ≥ the plain session's pop count. Every verification-order-dependent
-// field (VerifiedLeaves, CandidateScans, Exact/PrunedDistances) must still
-// agree exactly — the merged frontier is consumed in the same total order
-// the heap popped leaves in.
-func TestCoordSessionStatsParitySingleShard(t *testing.T) {
-	set, db, _ := testSet(t, 90, 1, 11)
-	rel := core.FirstQuartileRelevance(db, nil)
-
-	plain := set.Part(0).NewSession(rel)
-	coord, err := newCoordSession(context.Background(), set, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coord.RelevantCount() != plain.RelevantCount() {
-		t.Fatalf("relevant count %d vs %d", coord.RelevantCount(), plain.RelevantCount())
-	}
-	for _, theta := range []float64{3, 5, 8} {
-		want, err := plain.TopK(theta, 4)
+// TestPiHatIsUpperBoundOnNeighborhoods checks the session's global π̂ rows
+// against brute force, at one shard and at several: every relevant graph has
+// a row, stored at its leaf in its home shard, that bounds the true
+// |N_θ(g) ∩ L_q| at every grid threshold and is monotone in θ.
+func TestPiHatIsUpperBoundOnNeighborhoods(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		set, db, m := testSet(t, 90, shards, 14)
+		relevance := core.FirstQuartileRelevance(db, nil)
+		sess, err := set.NewSession(relevance)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := coord.TopK(theta, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("θ=%v: coordinator answer %+v, plain %+v", theta, got, want)
-		}
-		gs, ws := coord.LastStats(), plain.LastStats()
-		if gs.PQPops < ws.PQPops {
-			t.Errorf("θ=%v: coordinator frontier visits %d < plain pops %d", theta, gs.PQPops, ws.PQPops)
-		}
-		gs.PQPops, ws.PQPops = 0, 0
-		if gs != ws {
-			t.Errorf("θ=%v: coordinator stats %+v, plain %+v", theta, gs, ws)
+		grid := set.Grid()
+		rel := core.Relevant(db, relevance)
+		for _, id := range rel {
+			home := set.PartFor(id)
+			row := sess.piHat[home][set.Part(home).LeafIdx(id)]
+			if row == nil {
+				t.Fatalf("shards=%d: relevant graph %d has no π̂-vector", shards, id)
+			}
+			for slot, theta := range grid {
+				// True |N_θ(id) ∩ L_q|.
+				n := 0
+				for _, other := range rel {
+					if m.Distance(id, other) <= theta {
+						n++
+					}
+				}
+				if int(row[slot]) < n {
+					t.Fatalf("shards=%d: π̂[%d][θ=%v] = %d < true %d", shards, id, theta, row[slot], n)
+				}
+			}
+			for s := 1; s < len(row); s++ {
+				if row[s] < row[s-1] {
+					t.Fatalf("shards=%d: π̂ not monotone for %d: %v", shards, id, row)
+				}
+			}
 		}
 	}
 }

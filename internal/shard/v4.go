@@ -462,5 +462,5 @@ func readPartV4(d *v4dir, sh uint32, base graph.ID, count int, db *graph.Databas
 	if err != nil {
 		return nil, err
 	}
-	return nbindex.PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, tab, 0)
+	return nbindex.PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, tab)
 }

@@ -193,7 +193,7 @@ func (o *Ordering) VPDistance(v int, g graph.ID) float64 { return o.dist[v][g-o.
 // Coords returns g's embedding coordinates — d(vps[v], g) for every vantage
 // point — as a fresh slice. Because shards share one global VP set, the row
 // is valid as a query point against any shard's ordering (CandidatesCoords);
-// this is how the coordinator scans the neighborhoods of a graph inside
+// this is how a shard session scans the neighborhoods of a graph inside
 // shards that do not own it, with zero extra distance computations.
 func (o *Ordering) Coords(g graph.ID) []float64 {
 	coords := make([]float64, len(o.dist))

@@ -157,7 +157,6 @@ func TestEngineTelemetryExposition(t *testing.T) {
 		"graphrep_metric_prune_embedding_total",
 		"graphrep_metric_prune_rowmin_total",
 		"graphrep_metric_prune_greedy_total",
-		"graphrep_metric_prune_dual_total",
 		"graphrep_metric_bounded_exact_total",
 	} {
 		if !strings.Contains(out, name) {
