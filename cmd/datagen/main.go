@@ -14,12 +14,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"graphrep"
 	"graphrep/internal/dataset"
 	"graphrep/internal/graph"
+	"graphrep/internal/mmapfile"
 )
 
 func main() {
@@ -48,23 +50,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	}
+	write := func(w io.Writer) error { return graphrep.WriteDatabase(w, db) }
 	if *format == "grdb" {
-		err = graphrep.SaveDatabase(w, db)
+		write = func(w io.Writer) error { return graphrep.SaveDatabase(w, db) }
+	}
+	if *out != "" {
+		// Replace, never truncate: a server may have the old file mapped.
+		err = mmapfile.WriteAtomic(*out, write)
 	} else {
-		err = graphrep.WriteDatabase(w, db)
+		err = write(os.Stdout)
 	}
 	if err != nil {
 		fatal(err)

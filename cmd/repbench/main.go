@@ -18,9 +18,10 @@
 //
 // -bench-kernel, -bench-load, and -bench-graphload double as regression
 // gates: the process exits non-zero when the bounded kernel's query path is
-// not strictly faster than the exact baseline, the mapped v4 index open is
-// not strictly faster than the v3 gob decode, or the mapped GRDB corpus
-// open is not strictly faster than the text parse, at any benchmarked size.
+// not strictly faster than the exact baseline, the mapped index open retains
+// more than 64 KiB of heap or grows more than 2× from the smallest to the
+// largest size, or the mapped GRDB corpus open is not strictly faster than
+// the text parse, at any benchmarked size.
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 		out         = flag.String("out", "", "also write output to this file")
 		benchShard  = flag.String("bench-shards", "", "run the shard build/query benchmark and write the JSON report to this file (skips experiments)")
 		benchKern   = flag.String("bench-kernel", "", "run the bounded-kernel on/off comparison and write the JSON report to this file (skips experiments)")
-		benchLd     = flag.String("bench-load", "", "run the index open-cost comparison (v3 decode vs v4 mmap) and write the JSON report to this file (skips experiments)")
+		benchLd     = flag.String("bench-load", "", "run the mapped index open-cost benchmark (open time flat in n, heap retained bounded) and write the JSON report to this file (skips experiments)")
 		benchGrLd   = flag.String("bench-graphload", "", "run the corpus open-cost comparison (text parse vs GRDB mmap) and write the JSON report to this file (skips experiments)")
 		shards      = flag.Int("shards", 0, "with -bench-shards: benchmark only this shard count (0 = the 1/2/4 sweep)")
 		benchShardN = flag.Int("bench-n", 400, "with -bench-shards/-bench-kernel: benchmark database size")

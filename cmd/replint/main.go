@@ -61,7 +61,7 @@ import (
 
 // version feeds go vet's tool-identity cache; bump it when analyzer behavior
 // changes so stale cached verdicts are invalidated.
-const version = "replint-1.2.0"
+const version = "replint-1.2.1"
 
 var analyzers = []*framework.Analyzer{
 	ctxflow.Analyzer,

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"graphrep"
+	"graphrep/internal/mmapfile"
 	"graphrep/internal/server"
 )
 
@@ -116,7 +117,8 @@ func loadDatabase(path, name string, n int, seed int64) (*graphrep.Database, err
 // openEngine loads a persisted index when available (its stored shard count
 // wins over the -shards flag), otherwise builds one (on up to workers
 // goroutines, split into shards partitions) and persists it to indexPath
-// (when given). Stored v4 indexes are memory-mapped — the process starts
+// (when given) — also when the stored file is unusable, e.g. an index of a
+// format no longer read, which the rebuild then replaces. Stored v4 indexes are memory-mapped — the process starts
 // serving immediately and index pages fault in on first use; the mapping
 // lives as long as the process, so the engine is never Closed here.
 func openEngine(db *graphrep.Database, indexPath string, seed int64, workers, shards int) (*graphrep.Engine, error) {
@@ -137,12 +139,9 @@ func openEngine(db *graphrep.Database, indexPath string, seed int64, workers, sh
 	}
 	log.Printf("index built in %v", time.Since(start).Round(time.Millisecond))
 	if indexPath != "" {
-		f, err := os.Create(indexPath)
-		if err != nil {
-			return nil, fmt.Errorf("persist index: %w", err)
-		}
-		defer f.Close()
-		if err := engine.SaveIndex(f); err != nil {
+		// Replace, never truncate: another process may have the old file
+		// mapped, and truncating a mapped file faults its readers.
+		if err := mmapfile.WriteAtomic(indexPath, engine.SaveIndex); err != nil {
 			return nil, fmt.Errorf("persist index: %w", err)
 		}
 		log.Printf("index persisted to %s", indexPath)

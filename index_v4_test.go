@@ -2,11 +2,13 @@ package graphrep_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,24 +18,21 @@ import (
 // The v4 (zero-copy mmap) persistence contract, as tests:
 //
 //   - a v4 index opened from a mapped file answers byte-identically —
-//     answers, sweep curves, AND QueryStats — to the same index loaded from
-//     a v3 stream, for every shard count × worker count combination;
+//     answers and sweep curves — to the engine that built it, and re-saves
+//     to the bytes on disk, for every shard count × worker count
+//     combination (the mapped engine's QueryStats equal a heap-form set's
+//     in internal/shard's TestMappedStatsEqualHeap);
 //   - one shared mapping serves any number of concurrent query goroutines
 //     (the -race build is the real assertion);
 //   - DisableMmap (and platforms without mmap) read the file instead, with
 //     identical results;
-//   - every committed golden blob (v1..v4, same dud-120 seed-7 database)
-//     loads, answers identically to a fresh build, and re-saves to the same
-//     v4 bytes a fresh engine writes.
+//   - the committed v4 golden blob loads, answers identically to a fresh
+//     build, and re-saves to the same bytes a fresh engine writes;
+//   - the gob generations before v4 fail with an error naming the format.
 
-// saveBoth persists engine in both formats: the legacy v3 stream and a v4
-// file on disk.
-func saveBoth(t *testing.T, engine *graphrep.Engine, dir string, tag string) ([]byte, string) {
+// saveV4 persists engine's index to a file under dir and returns its path.
+func saveV4(t *testing.T, engine *graphrep.Engine, dir string, tag string) string {
 	t.Helper()
-	var v3 bytes.Buffer
-	if err := engine.SaveIndexV3(&v3); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, tag+".nbx")
 	f, err := os.Create(path)
 	if err != nil {
@@ -45,15 +44,15 @@ func saveBoth(t *testing.T, engine *graphrep.Engine, dir string, tag string) ([]
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return v3.Bytes(), path
+	return path
 }
 
-// TestV4MmapEqualsV3Loaded is the tentpole acceptance matrix: the same index
-// opened from a v3 stream and from a v4 memory mapping must produce
-// byte-identical answers, sweep curves, and per-query work statistics — the
-// view-backed query path does exactly the work the heap-backed one does —
-// for shard counts 1, 2, 4 and session workers 1 and GOMAXPROCS.
-func TestV4MmapEqualsV3Loaded(t *testing.T) {
+// TestV4MmapEqualsBuilt is the acceptance matrix of the mapped read path:
+// the index opened from a v4 memory mapping must produce byte-identical
+// answers and sweep curves to the engine that built it, and re-save to the
+// exact bytes it was opened from, for shard counts 1, 2, 4 and session
+// workers 1 and GOMAXPROCS.
+func TestV4MmapEqualsBuilt(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 150, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -64,54 +63,31 @@ func TestV4MmapEqualsV3Loaded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v3blob, v4path := saveBoth(t, engine, dir, fmt.Sprintf("s%d", shards))
+		v4path := saveV4(t, engine, dir, fmt.Sprintf("s%d", shards))
 		wantAnswers, _, wantPoints := collectAnswers(t, engine, 5)
+		disk, err := os.ReadFile(v4path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			opts := graphrep.Options{Workers: workers}
-			fromV3, err := graphrep.OpenWithIndex(db, bytes.NewReader(v3blob), opts)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: v3 load: %v", shards, workers, err)
-			}
-			fromV4, err := graphrep.OpenWithIndexFile(db, v4path, opts)
+			fromV4, err := graphrep.OpenWithIndexFile(db, v4path, graphrep.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: v4 open: %v", shards, workers, err)
 			}
-			v3Answers, v3Stats, v3Points := collectAnswers(t, fromV3, 5)
-			v4Answers, v4Stats, v4Points := collectAnswers(t, fromV4, 5)
-			for _, e := range []struct {
-				name    string
-				engine  *graphrep.Engine
-				answers []answer
-				points  []graphrep.ThetaPoint
-			}{{"v3-loaded", fromV3, v3Answers, v3Points}, {"v4-mmapped", fromV4, v4Answers, v4Points}} {
-				if e.engine.Shards() != shards {
-					t.Fatalf("%s engine has %d shards, want %d", e.name, e.engine.Shards(), shards)
-				}
-				if !reflect.DeepEqual(e.answers, wantAnswers) {
-					t.Errorf("shards=%d workers=%d: %s answers differ from the built engine:\n got %+v\nwant %+v",
-						shards, workers, e.name, e.answers, wantAnswers)
-				}
-				if !reflect.DeepEqual(e.points, wantPoints) {
-					t.Errorf("shards=%d workers=%d: %s sweep curve differs from the built engine",
-						shards, workers, e.name)
-				}
+			if fromV4.Shards() != shards {
+				t.Fatalf("v4-mmapped engine has %d shards, want %d", fromV4.Shards(), shards)
 			}
-			// QueryStats are compared between the two LOADED engines, not
-			// against the builder: a fresh build leaves the distance cache
-			// warm, which legitimately shifts the pruned/exact split. The two
-			// cold-started engines must match each other field for field —
-			// the zero-copy path does exactly the work the heap path does.
-			if !reflect.DeepEqual(v4Stats, v3Stats) {
-				t.Errorf("shards=%d workers=%d: v4-mmapped query stats differ from v3-loaded:\n got %+v\nwant %+v",
-					shards, workers, v4Stats, v3Stats)
+			answers, _, points := collectAnswers(t, fromV4, 5)
+			if !reflect.DeepEqual(answers, wantAnswers) {
+				t.Errorf("shards=%d workers=%d: v4-mmapped answers differ from the built engine:\n got %+v\nwant %+v",
+					shards, workers, answers, wantAnswers)
+			}
+			if !reflect.DeepEqual(points, wantPoints) {
+				t.Errorf("shards=%d workers=%d: v4-mmapped sweep curve differs from the built engine", shards, workers)
 			}
 			// A v4-mmapped engine re-saves to the exact bytes on disk.
 			var again bytes.Buffer
 			if err := fromV4.SaveIndex(&again); err != nil {
-				t.Fatal(err)
-			}
-			disk, err := os.ReadFile(v4path)
-			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(again.Bytes(), disk) {
@@ -139,7 +115,7 @@ func TestV4ConcurrentQueriesSharedMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	_, v4path := saveBoth(t, engine, dir, "conc")
+	v4path := saveV4(t, engine, dir, "conc")
 	wantAnswers, _, wantPoints := collectAnswers(t, engine, 5)
 
 	mapped, err := graphrep.OpenWithIndexFile(db, v4path)
@@ -209,7 +185,7 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	v3blob, v4path := saveBoth(t, engine, dir, "fallback")
+	v4path := saveV4(t, engine, dir, "fallback")
 	// Baseline: the mapped open. (Not the builder — its warm distance cache
 	// legitimately shifts the pruned/exact stats split.)
 	mapped, err := graphrep.OpenWithIndexFile(db, v4path)
@@ -233,58 +209,30 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	if err := noMmap.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// A legacy v3 file also opens through the file API (decoded to the heap).
-	v3path := filepath.Join(dir, "legacy_v3.nbx")
-	if err := os.WriteFile(v3path, v3blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := graphrep.OpenWithIndexFile(db, v3path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	answers, stats, _ = collectAnswers(t, legacy, 4)
-	if !reflect.DeepEqual(answers, wantAnswers) || !reflect.DeepEqual(stats, wantStats) {
-		t.Error("v3-file engine answers or stats differ from the mapped engine")
-	}
 }
 
-// TestIndexCompatMatrix loads every committed golden blob — one per format
-// generation, all over the same dud-120 seed-7 database — and checks the
-// full compatibility contract: each loads with its original shard layout,
-// answers exactly like a fresh build, and re-saves to the same v4 bytes a
-// fresh engine of the same shard count writes. (v1 predates sharding, so it
-// compares against a 1-shard save; v2–v4 were written with two shards.)
+// TestIndexCompatMatrix loads the committed v4 golden blob — written over
+// the dud-120 seed-7 database with two shards — and checks the compatibility
+// contract: it loads with its shard layout, answers exactly like a fresh
+// build, and re-saves to the same bytes a fresh 2-shard engine writes.
 func TestIndexCompatMatrix(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 120, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshSaves := map[int][]byte{}
-	var wantAnswers []answer
-	var wantPoints []graphrep.ThetaPoint
-	for _, shards := range []int{1, 2} {
-		fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := fresh.SaveIndex(&buf); err != nil {
-			t.Fatal(err)
-		}
-		freshSaves[shards] = buf.Bytes()
-		if shards == 2 {
-			wantAnswers, _, wantPoints = collectAnswers(t, fresh, 5)
-		}
+	fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var freshSave bytes.Buffer
+	if err := fresh.SaveIndex(&freshSave); err != nil {
+		t.Fatal(err)
+	}
+	wantAnswers, _, wantPoints := collectAnswers(t, fresh, 5)
 	for _, tc := range []struct {
 		file   string
 		shards int
 	}{
-		{"index_v1_dud120_seed7.nbx", 1},
-		{"index_v2_dud120_seed7.nbx", 2},
-		{"index_v3_dud120_seed7.nbx", 2},
 		{"index_v4_dud120_seed7.nbx", 2},
 	} {
 		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -309,8 +257,45 @@ func TestIndexCompatMatrix(t *testing.T) {
 		if err := loaded.SaveIndex(&resave); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(resave.Bytes(), freshSaves[tc.shards]) {
+		if !bytes.Equal(resave.Bytes(), freshSave.Bytes()) {
 			t.Errorf("%s re-saved bytes differ from a fresh %d-shard v4 save", tc.file, tc.shards)
 		}
 	}
+}
+
+// TestLegacyIndexNamedError checks that index files of the gob generations
+// (NBIDX001–003) fail through both open paths with an error naming the
+// format as no longer read, not as a generic bad magic. The bytes follow the
+// v3 layout's opening fields: magic, grid length, grid, shard count.
+func TestLegacyIndexNamedError(t *testing.T) {
+	db, err := graphrep.GenerateDataset("dud", 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, magic := range []string{"NBIDX001", "NBIDX002", "NBIDX003"} {
+		blob := legacyIndexBytes(magic)
+		path := filepath.Join(dir, magic+".nbx")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, streamErr := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
+		_, fileErr := graphrep.OpenWithIndexFile(db, path)
+		for _, err := range []error{streamErr, fileErr} {
+			if err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), "no longer read") {
+				t.Errorf("%s: open error %v, want one naming the format as no longer read", magic, err)
+			}
+		}
+	}
+}
+
+// legacyIndexBytes returns the opening fields of a gob-generation index file
+// with the given magic: a one-entry θ grid and a one-shard count.
+func legacyIndexBytes(magic string) []byte {
+	var b bytes.Buffer
+	b.WriteString(magic)
+	binary.Write(&b, binary.LittleEndian, int64(1))
+	binary.Write(&b, binary.LittleEndian, float64(4))
+	binary.Write(&b, binary.LittleEndian, int64(1))
+	return b.Bytes()
 }

@@ -28,23 +28,24 @@ import (
 // analyzer applies to. The list is the repo's determinism boundary: the
 // engine facade plus every package on the index build and query paths.
 var ScopePackages = map[string]bool{
-	"graphrep": true,
-	"shard":    true,
-	"nbindex":  true,
-	"nbtree":   true,
-	"vantage":  true,
-	"mtree":    true,
-	"metric":   true,
-	"core":     true,
-	"ged":      true,
-	"mmapfile": true,
+	"graphrep":  true,
+	"shard":     true,
+	"nbindex":   true,
+	"nbtree":    true,
+	"vantage":   true,
+	"mtree":     true,
+	"metric":    true,
+	"core":      true,
+	"ged":       true,
+	"mmapfile":  true,
+	"container": true,
 }
 
 // Analyzer is the detrand check.
 var Analyzer = &framework.Analyzer{
 	Name: "detrand",
 	Doc: "forbid global math/rand state and time.Now in the deterministic " +
-		"build/query packages (graphrep, shard, nbindex, nbtree, vantage, mtree, metric, core, ged, mmapfile)",
+		"build/query packages (graphrep, shard, nbindex, nbtree, vantage, mtree, metric, core, ged, mmapfile, container)",
 	Run: run,
 }
 

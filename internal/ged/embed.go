@@ -2,7 +2,6 @@ package ged
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"slices"
 
@@ -176,10 +175,10 @@ func (e *Embedding) LowerBound(o *Embedding) float64 {
 	return lb
 }
 
-// Encode writes the embedding in the fixed little-endian layout the v3 index
-// container stores per shard. The output is a pure function of the embedded
-// graph: dimensions are sorted, so re-encoding a decoded embedding
-// reproduces the bytes exactly.
+// Encode writes the embedding in the fixed little-endian record layout of a
+// Table (NewTableFromEmbeddings writes with it; Table.At decodes it). The
+// output is a pure function of the embedded graph: dimensions are sorted, so
+// re-encoding a decoded embedding reproduces the bytes exactly.
 func (e *Embedding) Encode(w io.Writer) error {
 	n := e.Stars()
 	hdr := [3]uint32{uint32(n), uint32(len(e.centers)), uint32(len(e.spokes))}
@@ -209,47 +208,4 @@ func (e *Embedding) Encode(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// DecodeEmbedding reads one embedding written by Encode.
-func DecodeEmbedding(r io.Reader) (*Embedding, error) {
-	var hdr [3]uint32
-	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("ged: read embedding header: %w", err)
-	}
-	n, nc, ns := int(hdr[0]), int(hdr[1]), int(hdr[2])
-	const implausible = 1 << 28
-	if n > implausible || ns > implausible || nc > n {
-		return nil, fmt.Errorf("ged: implausible embedding header %v", hdr)
-	}
-	e := &Embedding{padPrefix: make([]float64, n+1)}
-	pads := make([]uint32, n)
-	if err := binary.Read(r, binary.LittleEndian, pads); err != nil {
-		return nil, fmt.Errorf("ged: read embedding pads: %w", err)
-	}
-	for i, p := range pads {
-		e.padPrefix[i+1] = e.padPrefix[i] + float64(p)
-	}
-	if nc > 0 {
-		e.centers = make([]embDim, nc)
-		for i := range e.centers {
-			var rec [2]uint32
-			if err := binary.Read(r, binary.LittleEndian, rec[:]); err != nil {
-				return nil, fmt.Errorf("ged: read embedding centers: %w", err)
-			}
-			e.centers[i] = embDim{key: uint64(rec[0]), count: int32(rec[1])}
-		}
-	}
-	if ns > 0 {
-		e.spokes = make([]embDim, ns)
-		for i := range e.spokes {
-			if err := binary.Read(r, binary.LittleEndian, &e.spokes[i].key); err != nil {
-				return nil, fmt.Errorf("ged: read embedding spokes: %w", err)
-			}
-			if err := binary.Read(r, binary.LittleEndian, &e.spokes[i].count); err != nil {
-				return nil, fmt.Errorf("ged: read embedding spokes: %w", err)
-			}
-		}
-	}
-	return e, nil
 }

@@ -105,35 +105,37 @@ func TestEmbeddingSubsumesRetiredTiers(t *testing.T) {
 	}
 }
 
-// Embeddings persist in the v3 index container, so the codec must round-trip
-// exactly: decode(encode(e)) re-encodes to the same bytes and proves the same
-// bounds. Byte-stability is what keeps index files identical across
-// save/load/save cycles.
+// Embeddings persist as the records of a Table, so the codec must
+// round-trip exactly: a table decodes every record (At) to an embedding that
+// re-encodes to the same bytes and proves the same bounds. Byte-stability is
+// what keeps index files identical across save/load/save cycles.
 func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for i := 0; i < 200; i++ {
-		g := randGraph(rng, 14)
-		e := NewEmbedding(g)
-		var buf bytes.Buffer
-		if err := e.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		first := append([]byte(nil), buf.Bytes()...)
-		dec, err := DecodeEmbedding(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("graph %d: decode left %d trailing bytes", i, buf.Len())
-		}
+	embs := make([]*Embedding, 200)
+	for i := range embs {
+		embs[i] = NewEmbedding(randGraph(rng, 14))
+	}
+	built, err := NewTableFromEmbeddings(embs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(built.Offsets(), built.Blob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != len(embs) {
+		t.Fatalf("table has %d records, want %d", tab.Len(), len(embs))
+	}
+	for i, e := range embs {
+		dec := tab.At(i)
 		var again bytes.Buffer
 		if err := dec.Encode(&again); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again.Bytes(), first) {
+		if !bytes.Equal(again.Bytes(), tab.Record(i)) {
 			t.Fatalf("graph %d: re-encoded bytes differ", i)
 		}
-		if dec.Stars() != e.Stars() || dec.Dims() != e.Dims() {
+		if dec.Stars() != e.Stars() || dec.Dims() != e.Dims() || tab.Stars(i) != e.Stars() {
 			t.Fatalf("graph %d: decoded shape differs", i)
 		}
 		o := NewEmbedding(randGraph(rng, 14))
@@ -143,8 +145,8 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeEmbedding must reject corrupt headers instead of allocating
-// absurd buffers or mis-framing the stream.
+// A Table must reject corrupt records at validation instead of allocating
+// absurd buffers or mis-framing the blob when At decodes them.
 func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 	e := NewEmbedding(mkGraph(t, []graph.Label{1, 2}, [][3]int{{0, 1, 0}}))
 	var buf bytes.Buffer
@@ -169,8 +171,11 @@ func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 			return c
 		}},
 	} {
-		if _, err := DecodeEmbedding(bytes.NewReader(tc.mutate(blob))); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", tc.name)
+		rec := tc.mutate(blob)
+		// One record spanning the whole blob, so the frame checks pass and
+		// only the record validation can reject it.
+		if _, err := NewTable([]uint32{0, uint32(len(rec))}, rec); err == nil {
+			t.Errorf("%s: table accepted a corrupt record", tc.name)
 		}
 	}
 }

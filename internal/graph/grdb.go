@@ -1,26 +1,23 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"sync"
 
+	"graphrep/internal/container"
 	"graphrep/internal/mmapfile"
 )
 
 // Format GRDB001: the zero-copy graph container, the corpus-side sibling of
-// the NBIDX004 index container. Where the text format parses every graph into
-// heap-resident CSR slices, a GRDB001 file is a flat offset-tabled layout
-// readable in place from a byte slice — typically a memory mapping — so
-// opening a database costs O(header + directory), not O(corpus), and graph
-// content stays in the page cache, shared across processes serving one file.
-//
-//	header     magic "GRDB001\0" | u64 sectionCount | u64 fileSize
-//	directory  sectionCount × { u32 kind | u32 reserved | u64 off | u64 len }
-//	sections   raw little-endian arrays, each 8-byte aligned, zero-padded
+// the NBIDX004 index container, in the same framing (internal/container).
+// Where the text format parses every graph into heap-resident CSR slices, a
+// GRDB001 file is readable in place from a byte slice — typically a memory
+// mapping — so opening a database costs O(header + directory), not
+// O(corpus), and graph content stays in the page cache, shared across
+// processes serving one file. Every section is written and read at aux 0.
 //
 // The sections form one database-wide CSR: a per-graph vertex offset table
 // into global label/adjacency-offset arrays, and a global half-edge array the
@@ -39,28 +36,6 @@ const (
 // GRDBMagic is the 8-byte magic prefix of a GRDB001 container, exported so
 // CLI loaders can sniff the format.
 var GRDBMagic = [8]byte{'G', 'R', 'D', 'B', '0', '0', '1', 0}
-
-const (
-	grdbHeaderLen   = 24
-	grdbDirEntryLen = 24
-)
-
-func grdbPad8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// grdbSection is one directory entry during encoding, paired with the
-// function that writes its body.
-type grdbSection struct {
-	kind   uint32
-	length uint64
-	write  func(w io.Writer) error
-}
-
-// grdbWriteLE returns a section body writer emitting v in little-endian —
-// the single choke point for array sections, so the writer never touches
-// unsafe.
-func grdbWriteLE(v any) func(io.Writer) error {
-	return func(w io.Writer) error { return binary.Write(w, binary.LittleEndian, v) }
-}
 
 // SaveDatabase persists db in the GRDB001 zero-copy layout. Output bytes are
 // a pure function of the database contents: sections are emitted in a fixed
@@ -96,138 +71,15 @@ func SaveDatabase(w io.Writer, db *Database) error {
 	}
 
 	meta := []uint64{uint64(n), uint64(dim), vtxOff[n], uint64(len(adjTo))}
-	sections := []grdbSection{
-		{grdbMeta, uint64(8 * len(meta)), grdbWriteLE(meta)},
-		{grdbVtxOff, uint64(8 * len(vtxOff)), grdbWriteLE(vtxOff)},
-		{grdbAdjOff, uint64(8 * len(adjOff)), grdbWriteLE(adjOff)},
-		{grdbLabels, uint64(4 * len(labels)), grdbWriteLE(labels)},
-		{grdbAdjTo, uint64(4 * len(adjTo)), grdbWriteLE(adjTo)},
-		{grdbAdjLabel, uint64(4 * len(adjLabel)), grdbWriteLE(adjLabel)},
-		{grdbFeatures, uint64(8 * len(features)), grdbWriteLE(features)},
-	}
-
-	off := uint64(grdbHeaderLen + grdbDirEntryLen*len(sections))
-	offs := make([]uint64, len(sections))
-	for i, sec := range sections {
-		off = grdbPad8(off)
-		offs[i] = off
-		off += sec.length
-	}
-	fileSize := grdbPad8(off)
-
-	var hdr [grdbHeaderLen]byte
-	copy(hdr[:8], GRDBMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(sections)))
-	binary.LittleEndian.PutUint64(hdr[16:], fileSize)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var ent [grdbDirEntryLen]byte
-	for i, sec := range sections {
-		binary.LittleEndian.PutUint32(ent[0:], sec.kind)
-		binary.LittleEndian.PutUint32(ent[4:], 0)
-		binary.LittleEndian.PutUint64(ent[8:], offs[i])
-		binary.LittleEndian.PutUint64(ent[16:], sec.length)
-		if _, err := w.Write(ent[:]); err != nil {
-			return err
-		}
-	}
-	var zeros [8]byte
-	pos := uint64(grdbHeaderLen + grdbDirEntryLen*len(sections))
-	for i, sec := range sections {
-		if p := offs[i] - pos; p > 0 {
-			if _, err := w.Write(zeros[:p]); err != nil {
-				return err
-			}
-		}
-		if err := sec.write(w); err != nil {
-			return fmt.Errorf("graph: write section kind %d: %w", sec.kind, err)
-		}
-		pos = offs[i] + sec.length
-	}
-	if p := fileSize - pos; p > 0 {
-		if _, err := w.Write(zeros[:p]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// grdbDir is the parsed directory: section lookup by kind.
-type grdbDir struct {
-	secs map[uint32][]byte
-}
-
-func (d *grdbDir) section(kind uint32) ([]byte, error) {
-	b, ok := d.secs[kind]
-	if !ok {
-		return nil, fmt.Errorf("graph: GRDB container is missing section kind %d", kind)
-	}
-	return b, nil
-}
-
-// parseGRDB validates the header and directory of a GRDB001 container:
-// magic, file size, per-entry alignment and bounds (overflow-safe), no
-// duplicate kinds, and no overlapping sections. Section bodies are NOT
-// examined — that is the store constructor's and EnsureValid's job — but
-// after parseGRDB every section slice is guaranteed to lie inside data.
-func parseGRDB(data []byte) (*grdbDir, error) {
-	if len(data) < grdbHeaderLen {
-		return nil, fmt.Errorf("graph: GRDB container of %d bytes is shorter than the header", len(data))
-	}
-	if [8]byte(data[:8]) != GRDBMagic {
-		return nil, fmt.Errorf("graph: bad GRDB magic %q", data[:8])
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	fileSize := binary.LittleEndian.Uint64(data[16:])
-	if fileSize != uint64(len(data)) {
-		return nil, fmt.Errorf("graph: GRDB header declares %d bytes, file has %d", fileSize, len(data))
-	}
-	if count == 0 || count > uint64(len(data)-grdbHeaderLen)/grdbDirEntryLen {
-		return nil, fmt.Errorf("graph: implausible GRDB section count %d for %d bytes", count, len(data))
-	}
-	dirEnd := uint64(grdbHeaderLen) + count*grdbDirEntryLen
-	d := &grdbDir{secs: make(map[uint32][]byte, count)}
-	type span struct{ off, end uint64 }
-	spans := make([]span, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ent := data[grdbHeaderLen+i*grdbDirEntryLen:]
-		kind := binary.LittleEndian.Uint32(ent[0:])
-		off := binary.LittleEndian.Uint64(ent[8:])
-		length := binary.LittleEndian.Uint64(ent[16:])
-		if off%8 != 0 {
-			return nil, fmt.Errorf("graph: GRDB section %d (kind %d) at unaligned offset %d", i, kind, off)
-		}
-		if off < dirEnd || off > fileSize || length > fileSize-off {
-			return nil, fmt.Errorf("graph: GRDB section %d (kind %d) spans [%d, %d+%d) outside the file",
-				i, kind, off, off, length)
-		}
-		if _, dup := d.secs[kind]; dup {
-			return nil, fmt.Errorf("graph: GRDB container has duplicate section kind %d", kind)
-		}
-		d.secs[kind] = data[off : off+length : off+length]
-		spans = append(spans, span{off: off, end: off + length})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].off < spans[i-1].end {
-			return nil, fmt.Errorf("graph: GRDB sections overlap at offset %d", spans[i].off)
-		}
-	}
-	return d, nil
-}
-
-// grdbView builds a typed view over one section, naming the section on error.
-func grdbView[T mmapfile.Scalar](d *grdbDir, kind uint32) ([]T, error) {
-	b, err := d.section(kind)
-	if err != nil {
-		return nil, err
-	}
-	v, err := mmapfile.View[T](b)
-	if err != nil {
-		return nil, fmt.Errorf("graph: GRDB section kind %d: %w", kind, err)
-	}
-	return v, nil
+	return container.Write(w, GRDBMagic, []container.Section{
+		{Kind: grdbMeta, Len: uint64(8 * len(meta)), Write: container.WriteLE(meta)},
+		{Kind: grdbVtxOff, Len: uint64(8 * len(vtxOff)), Write: container.WriteLE(vtxOff)},
+		{Kind: grdbAdjOff, Len: uint64(8 * len(adjOff)), Write: container.WriteLE(adjOff)},
+		{Kind: grdbLabels, Len: uint64(4 * len(labels)), Write: container.WriteLE(labels)},
+		{Kind: grdbAdjTo, Len: uint64(4 * len(adjTo)), Write: container.WriteLE(adjTo)},
+		{Kind: grdbAdjLabel, Len: uint64(4 * len(adjLabel)), Write: container.WriteLE(adjLabel)},
+		{Kind: grdbFeatures, Len: uint64(8 * len(features)), Write: container.WriteLE(features)},
+	})
 }
 
 // mappedStore serves graphs as zero-copy views over a GRDB001 image. Opening
@@ -300,11 +152,11 @@ func OpenDatabaseFile(path string, disableMmap bool) (*Database, error) {
 // offset-table endpoints equal to those counts. Interior offsets, neighbors,
 // labels, and features are content — EnsureValid's job.
 func newMappedStore(data []byte, f *mmapfile.File) (*mappedStore, error) {
-	d, err := parseGRDB(data)
+	d, err := container.Parse(data, GRDBMagic)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := grdbView[uint64](d, grdbMeta)
+	meta, err := container.View[uint64](d, grdbMeta, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -320,27 +172,27 @@ func newMappedStore(data []byte, f *mmapfile.File) (*mappedStore, error) {
 	}
 	// Every count must be backed by section bytes, so the length couplings
 	// below also bound gc/totalV/totalH by the file size.
-	vtxOff, err := grdbView[uint64](d, grdbVtxOff)
+	vtxOff, err := container.View[uint64](d, grdbVtxOff, 0)
 	if err != nil {
 		return nil, err
 	}
-	adjOff, err := grdbView[uint64](d, grdbAdjOff)
+	adjOff, err := container.View[uint64](d, grdbAdjOff, 0)
 	if err != nil {
 		return nil, err
 	}
-	labels, err := grdbView[Label](d, grdbLabels)
+	labels, err := container.View[Label](d, grdbLabels, 0)
 	if err != nil {
 		return nil, err
 	}
-	adjTo, err := grdbView[int32](d, grdbAdjTo)
+	adjTo, err := container.View[int32](d, grdbAdjTo, 0)
 	if err != nil {
 		return nil, err
 	}
-	adjLabel, err := grdbView[Label](d, grdbAdjLabel)
+	adjLabel, err := container.View[Label](d, grdbAdjLabel, 0)
 	if err != nil {
 		return nil, err
 	}
-	features, err := grdbView[float64](d, grdbFeatures)
+	features, err := container.View[float64](d, grdbFeatures, 0)
 	if err != nil {
 		return nil, err
 	}

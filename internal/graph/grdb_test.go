@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"graphrep/internal/container"
 )
 
 // testDatabase builds a deterministic heap database: n small random graphs
@@ -226,9 +228,9 @@ func TestGRDBRejectsCorruptLayout(t *testing.T) {
 		}
 		return b
 	})
-	mutate("unaligned section", func(b []byte) []byte { b[grdbHeaderLen+8] = 1; return b })
+	mutate("unaligned section", func(b []byte) []byte { b[container.HeaderLen+8] = 1; return b })
 	mutate("dup kind", func(b []byte) []byte {
-		copy(b[grdbHeaderLen+grdbDirEntryLen:], b[grdbHeaderLen:grdbHeaderLen+grdbDirEntryLen])
+		copy(b[container.HeaderLen+container.DirEntryLen:], b[container.HeaderLen:container.HeaderLen+container.DirEntryLen])
 		return b
 	})
 }
@@ -238,14 +240,14 @@ func TestGRDBRejectsCorruptLayout(t *testing.T) {
 func TestGRDBEnsureValidCatchesContent(t *testing.T) {
 	db := testDatabase(t, 8, 1, 4)
 	b := saveGRDB(t, db)
-	// parseGRDB returns subslices of b, so writing through the section view
-	// corrupts the container in place: point the first half-edge at an
+	// container.Parse returns subslices of b, so writing through the section
+	// view corrupts the container in place: point the first half-edge at an
 	// out-of-range vertex (MaxInt32).
-	d, err := parseGRDB(b)
+	d, err := container.Parse(b, GRDBMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := d.section(grdbAdjTo)
+	sec, err := d.Section(grdbAdjTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package mmapfile opens read-only byte images of files, memory-mapping them
 // where the platform supports it (linux, darwin) and falling back to a plain
-// read elsewhere. It is the only package in the tree allowed to use unsafe or
-// the raw mmap syscalls — the unsafeconfine analyzer (cmd/replint) enforces
-// the confinement — so every zero-copy view the v4 index format serves is
-// funneled through the small, auditable surface here.
+// read elsewhere, and replaces such files atomically (WriteAtomic), so a
+// rewrite never changes the bytes under a live mapping. It is the only
+// package in the tree allowed to use unsafe or the raw mmap syscalls — the
+// unsafeconfine analyzer (cmd/replint) enforces the confinement — so every
+// zero-copy view the v4 index format serves is funneled through the small,
+// auditable surface here.
 //
 // The contract every caller inherits: the bytes of a File are immutable for
 // the File's lifetime, and every view derived from them (View, or plain
@@ -15,7 +17,9 @@ package mmapfile
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is a read-only byte image of a file: a memory mapping when the
@@ -48,12 +52,6 @@ func OpenReadAll(path string) (*File, error) {
 	return &File{data: data}, nil
 }
 
-// FromBytes wraps an in-memory image (e.g. one already read from a stream) in
-// the File interface. Close is a no-op for it.
-func FromBytes(data []byte) *File {
-	return &File{data: data}
-}
-
 // Bytes returns the byte image. The slice is read-only and valid only until
 // Close; it is handed out with cap == len so appends reallocate.
 func (f *File) Bytes() []byte {
@@ -77,4 +75,41 @@ func (f *File) Close() error {
 		return nil
 	}
 	return munmap(data)
+}
+
+// WriteAtomic replaces the file at path with the bytes write emits: they go
+// to a temporary file in the same directory, which is fsynced and then
+// renamed over path. Readers see the old file or the new one, never a torn
+// mix, and a process that has the old file mapped keeps reading the old
+// bytes — truncating a mapped file in place would fault its readers instead.
+// On any error the temporary file is removed and path is left untouched. The
+// new file is created with mode 0644.
+func WriteAtomic(path string, write func(w io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("mmapfile: %w", err)
+	}
+	tmp := f.Name()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return fmt.Errorf("mmapfile: %w", err)
+	}
+	if err = f.Sync(); err != nil {
+		return fmt.Errorf("mmapfile: %w", err)
+	}
+	if err = f.Close(); err != nil {
+		return fmt.Errorf("mmapfile: %w", err)
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("mmapfile: %w", err)
+	}
+	return nil
 }

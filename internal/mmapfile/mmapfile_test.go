@@ -3,6 +3,8 @@ package mmapfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -181,5 +183,63 @@ func TestDisableMmapEnv(t *testing.T) {
 	}
 	if !bytes.Equal(f.Bytes(), []byte("payload")) {
 		t.Fatalf("Bytes() = %q, want %q", f.Bytes(), "payload")
+	}
+}
+
+// TestWriteAtomicKeepsOldMapping rewrites a mapped file: the old mapping
+// still reads the old bytes, and a fresh open reads the new ones.
+func TestWriteAtomicKeepsOldMapping(t *testing.T) {
+	path := writeTemp(t, []byte("old contents"))
+	old, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	err = WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("new"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(old.Bytes(), []byte("old contents")) {
+		t.Fatalf("old image reads %q after the rewrite", old.Bytes())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte("new")) {
+		t.Fatalf("rewritten file reads %q, want %q", got, "new")
+	}
+}
+
+// TestWriteAtomicFailureLeavesOriginal fails a write halfway: the original
+// file is intact and no temporary file is left behind.
+func TestWriteAtomicFailureLeavesOriginal(t *testing.T) {
+	path := writeTemp(t, []byte("original"))
+	boom := errors.New("boom")
+	err := WriteAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic returned %v, want the write's error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte("original")) {
+		t.Fatalf("original file reads %q after a failed write", got)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed write, want only the original", len(entries))
 	}
 }

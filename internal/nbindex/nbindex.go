@@ -62,9 +62,8 @@ type Index struct {
 	// vector whose L1-style lower bound opens the bounded distance cascade.
 	// Embeddings are a pure function of the graphs — independent of the
 	// metric and of whether the bounded kernel is enabled — so index bytes
-	// stay identical either way. Persisted since the v3 container; recomputed
-	// on the v1/v2 compat load paths. View-backed indexes carry embTab
-	// instead and leave embs nil until thawed.
+	// stay identical either way. Built indexes compute them; view-backed
+	// indexes carry embTab instead and leave embs nil until thawed.
 	embs []*ged.Embedding
 	// embTab is the encoded embedding table of a view-backed index (nil for
 	// built indexes): the same vectors as embs, decoded on demand by the
@@ -151,27 +150,17 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 			return l
 		}(),
 	}
-	if err := ix.computeEmbeddings(ctx, workers); err != nil {
+	// Each embedding is a pure function of its graph, so the fill
+	// parallelizes freely without affecting the result.
+	ix.embs = make([]*ged.Embedding, count)
+	if err := pool.Ranges(ctx, count, workers, 16, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ix.embs[i] = ged.NewEmbedding(db.Graph(base + graph.ID(i)))
+		}
+	}); err != nil {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// computeEmbeddings fills embs from the database graphs — the build path and
-// the pre-embedding (v1/v2) load paths both land here. Each row is a pure
-// function of its graph, so the fill parallelizes freely without affecting
-// the result.
-func (ix *Index) computeEmbeddings(ctx context.Context, workers int) error {
-	embs := make([]*ged.Embedding, ix.vo.Len())
-	if err := pool.Ranges(ctx, len(embs), workers, 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			embs[i] = ged.NewEmbedding(ix.db.Graph(ix.base + graph.ID(i)))
-		}
-	}); err != nil {
-		return err
-	}
-	ix.embs = embs
-	return nil
 }
 
 // Embeddings returns the per-graph filter embeddings, indexed by covered
@@ -306,7 +295,7 @@ func (ix *Index) EnsureValid() error {
 }
 
 // Timing returns the wall time each construction phase took. Zero for
-// indexes loaded with Read (no construction happened).
+// indexes opened from persisted views (no construction happened).
 func (ix *Index) Timing() BuildTiming { return ix.timing }
 
 // Insert extends the index with a graph already appended to the database
@@ -372,8 +361,8 @@ func (ix *Index) thaw() {
 // Tree exposes the underlying NB-Tree in pointer form, materializing it from
 // the flat representation if the index was opened over a mapping. Queries
 // never call this — they navigate Flat — so view-backed indexes pay the
-// rebuild only when something genuinely needs pointer nodes (legacy encoders,
-// inspection, tests). Not safe concurrently with itself or with Insert.
+// rebuild only when something genuinely needs pointer nodes (inspection,
+// tests). Not safe concurrently with itself or with Insert.
 func (ix *Index) Tree() *nbtree.Tree {
 	if ix.tree == nil {
 		ix.tree = ix.flat.Rebuild()

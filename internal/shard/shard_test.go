@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"graphrep/internal/core"
@@ -123,7 +124,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := append([]byte(nil), buf.Bytes()...)
-	loaded, err := Read(&buf, db, m)
+	loaded, err := ReadBytesContext(context.Background(), buf.Bytes(), db, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,8 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadContextCancel checks loads abort between shard sections.
+// TestReadContextCancel checks ReadBytesContext aborts between shard
+// sections.
 func TestReadContextCancel(t *testing.T) {
 	set, db, m := testSet(t, 80, 2, 6)
 	var buf bytes.Buffer
@@ -174,8 +176,69 @@ func TestReadContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReadContext(ctx, &buf, db, m); err != context.Canceled {
-		t.Fatalf("cancelled ReadContext returned %v, want context.Canceled", err)
+	if _, err := ReadBytesContext(ctx, buf.Bytes(), db, m); err != context.Canceled {
+		t.Fatalf("cancelled ReadBytesContext returned %v, want context.Canceled", err)
+	}
+}
+
+// TestMappedStatsEqualHeap checks that the view-backed read path does exactly
+// the work the heap-backed one does: a built set's parts, behind a fresh
+// metric, and ReadBytesContext of that set's encoding, behind another fresh
+// metric, report field-for-field equal QueryStats for every query, at shard
+// counts 1, 2, 4 and session workers 1 and GOMAXPROCS. Sessions decide
+// through the set's metric only, so both sides start equally cold; each
+// metric is primed with its side's embeddings, as an engine open primes it.
+func TestMappedStatsEqualHeap(t *testing.T) {
+	db, err := dataset.ByName("dud", 150, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := core.FirstQuartileRelevance(db, nil)
+	for _, shards := range []int{1, 2, 4} {
+		rng := rand.New(rand.NewSource(5))
+		bm := metric.NewCache(metric.Star(db))
+		grid := nbindex.ChooseGrid(db, bm, 8, 2000, rng)
+		built, err := Build(db, bm, Options{Shards: shards, NumVPs: 8, ThetaGrid: grid}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := built.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			heapStar := metric.Star(db)
+			heap := &Set{db: db, m: metric.NewCache(heapStar), grid: built.grid, parts: built.parts}
+			for _, part := range heap.parts {
+				heapStar.(metric.EmbeddingPrimer).PrimeEmbeddings(part.Base(), part.Embeddings())
+			}
+			mappedStar := metric.Star(db)
+			mapped, err := ReadBytesContext(context.Background(), buf.Bytes(), db, metric.NewCache(mappedStar))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range mapped.parts {
+				mappedStar.(metric.EmbeddingTablePrimer).PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
+			}
+			var stats [2][]nbindex.QueryStats
+			for side, set := range []*Set{heap, mapped} {
+				set.SetWorkers(workers)
+				sess, err := set.NewSession(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, theta := range []float64{4, 6, 8, 11} {
+					if _, err := sess.TopK(theta, 5); err != nil {
+						t.Fatal(err)
+					}
+					stats[side] = append(stats[side], sess.LastStats())
+				}
+			}
+			if !reflect.DeepEqual(stats[1], stats[0]) {
+				t.Errorf("shards=%d workers=%d: mapped query stats differ from heap:\n got %+v\nwant %+v",
+					shards, workers, stats[1], stats[0])
+			}
+		}
 	}
 }
 

@@ -5,31 +5,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
+	"graphrep/internal/container"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
-	"graphrep/internal/mmapfile"
 	"graphrep/internal/nbindex"
 	"graphrep/internal/nbtree"
 	"graphrep/internal/vantage"
 )
 
-// Format v4 (NBIDX004): the zero-copy container. Unlike v1–v3, which
-// interleave length-prefixed gob streams and must be decoded section by
-// section, v4 is a flat offset-tabled layout readable in place from a byte
-// slice — typically a memory mapping — so opening an index costs O(header +
-// directory), not O(data).
-//
-//	header     magic "NBIDX004" | u64 sectionCount | u64 fileSize
-//	directory  sectionCount × { u32 kind | u32 shard | u64 off | u64 len }
-//	sections   raw little-endian arrays, each 8-byte aligned, zero-padded
-//
-// Every array is fixed-stride, so a section becomes a typed slice via
-// mmapfile.View without copying. Global sections carry shard 0; per-shard
-// sections carry the 0-based shard number (global and per-shard kinds are
-// disjoint, so the (kind, shard) key is unique).
+// Format v4 (NBIDX004): the index in the zero-copy framing of
+// internal/container, readable in place from a byte slice — typically a
+// memory mapping — so opening an index costs O(header + directory), not
+// O(data). The directory's aux field carries the shard: global sections
+// carry shard 0, per-shard sections the 0-based shard number (global and
+// per-shard kinds are disjoint, so the (kind, shard) key is unique). The gob
+// generations before it (NBIDX001–003) are no longer read: an index is a
+// derived cache, rebuilt from the database when unusable.
 const (
 	// Global sections.
 	secManifest = 1 // u64 shardCount, then per shard u64 base, u64 count
@@ -61,35 +54,15 @@ const (
 
 var v4Magic = [8]byte{'N', 'B', 'I', 'D', 'X', '0', '0', '4'}
 
-const (
-	v4HeaderLen   = 24
-	v4DirEntryLen = 24
-)
-
-// v4section is one directory entry during encoding, paired with the function
-// that writes its body.
-type v4section struct {
-	kind, shard uint32
-	length      uint64
-	write       func(w io.Writer) error
-}
-
-func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// writeLE returns a section body writer emitting v in little-endian — the
-// single choke point for array sections, so the writer never touches unsafe.
-func writeLE(v any) func(io.Writer) error {
-	return func(w io.Writer) error { return binary.Write(w, binary.LittleEndian, v) }
-}
-
-// EncodeV4 persists the set in the v4 zero-copy layout. Like the legacy
-// encoder, output bytes are a pure function of the set's contents: sections
-// are emitted in a fixed order, offsets are derived deterministically, and
-// padding is zero.
-func (s *Set) EncodeV4(w io.Writer) error {
-	var sections []v4section
+// Encode persists the set in the v4 zero-copy layout. Output bytes are a
+// pure function of the set's contents — sections are emitted in a fixed
+// order, offsets are derived deterministically, and padding is zero — so they
+// are identical for any build worker count and for either bounded-kernel
+// setting.
+func (s *Set) Encode(w io.Writer) error {
+	var sections []container.Section
 	add := func(kind, shard uint32, length uint64, write func(io.Writer) error) {
-		sections = append(sections, v4section{kind: kind, shard: shard, length: length, write: write})
+		sections = append(sections, container.Section{Kind: kind, Aux: shard, Len: length, Write: write})
 	}
 
 	manifest := make([]uint64, 0, 1+2*len(s.parts))
@@ -97,8 +70,8 @@ func (s *Set) EncodeV4(w io.Writer) error {
 	for _, part := range s.parts {
 		manifest = append(manifest, uint64(part.Base()), uint64(part.Count()))
 	}
-	add(secManifest, 0, uint64(8*len(manifest)), writeLE(manifest))
-	add(secGrid, 0, uint64(8*len(s.grid)), writeLE(s.grid))
+	add(secManifest, 0, uint64(8*len(manifest)), container.WriteLE(manifest))
+	add(secGrid, 0, uint64(8*len(s.grid)), container.WriteLE(s.grid))
 
 	// Embedding tables are assembled up front: heap-built indexes encode
 	// their vectors once here, view-backed indexes pass their blob through.
@@ -122,7 +95,7 @@ func (s *Set) EncodeV4(w io.Writer) error {
 		vo, f, tab := part.VO(), part.Flat(), tabs[p]
 		count, nv, nn := part.Count(), vo.NumVPs(), f.Len()
 
-		add(secVPs, sh, uint64(4*nv), writeLE(vo.VPs()))
+		add(secVPs, sh, uint64(4*nv), container.WriteLE(vo.VPs()))
 		matrix := func(kind uint32, stride uint64, row func(v int) any) {
 			add(kind, sh, stride*uint64(nv)*uint64(count), func(w io.Writer) error {
 				for v := 0; v < nv; v++ {
@@ -139,154 +112,22 @@ func (s *Set) EncodeV4(w io.Writer) error {
 
 		st := f.Stats()
 		meta := []uint64{uint64(nn), uint64(st.ExactDistances), uint64(st.PrunedDistances), uint64(st.Nodes), uint64(st.Leaves)}
-		add(secTreeMeta, sh, uint64(8*len(meta)), writeLE(meta))
-		add(secCentroid, sh, uint64(4*nn), writeLE(f.Centroids))
-		add(secParent, sh, uint64(4*nn), writeLE(f.Parents))
-		add(secFirstChild, sh, uint64(4*nn), writeLE(f.FirstChild))
-		add(secNextSibling, sh, uint64(4*nn), writeLE(f.NextSibling))
-		add(secSize, sh, uint64(4*nn), writeLE(f.Sizes))
+		add(secTreeMeta, sh, uint64(8*len(meta)), container.WriteLE(meta))
+		add(secCentroid, sh, uint64(4*nn), container.WriteLE(f.Centroids))
+		add(secParent, sh, uint64(4*nn), container.WriteLE(f.Parents))
+		add(secFirstChild, sh, uint64(4*nn), container.WriteLE(f.FirstChild))
+		add(secNextSibling, sh, uint64(4*nn), container.WriteLE(f.NextSibling))
+		add(secSize, sh, uint64(4*nn), container.WriteLE(f.Sizes))
 		add(secLeaf, sh, uint64(nn), func(w io.Writer) error { _, err := w.Write(f.Leaves); return err })
-		add(secRadius, sh, uint64(8*nn), writeLE(f.Radii))
-		add(secDiameter, sh, uint64(8*nn), writeLE(f.Diameters))
+		add(secRadius, sh, uint64(8*nn), container.WriteLE(f.Radii))
+		add(secDiameter, sh, uint64(8*nn), container.WriteLE(f.Diameters))
 
-		add(secLeafOf, sh, uint64(4*count), writeLE(part.LeafOf()))
-		add(secEmbOffsets, sh, uint64(4*len(tab.Offsets())), writeLE(tab.Offsets()))
+		add(secLeafOf, sh, uint64(4*count), container.WriteLE(part.LeafOf()))
+		add(secEmbOffsets, sh, uint64(4*len(tab.Offsets())), container.WriteLE(tab.Offsets()))
 		add(secEmbBlob, sh, uint64(len(tab.Blob())), func(w io.Writer) error { _, err := w.Write(tab.Blob()); return err })
 	}
 
-	// Assign aligned offsets, then emit header, directory, and bodies.
-	off := uint64(v4HeaderLen + v4DirEntryLen*len(sections))
-	offs := make([]uint64, len(sections))
-	for i, sec := range sections {
-		off = pad8(off)
-		offs[i] = off
-		off += sec.length
-	}
-	fileSize := pad8(off)
-
-	var hdr [v4HeaderLen]byte
-	copy(hdr[:8], v4Magic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(sections)))
-	binary.LittleEndian.PutUint64(hdr[16:], fileSize)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var ent [v4DirEntryLen]byte
-	for i, sec := range sections {
-		binary.LittleEndian.PutUint32(ent[0:], sec.kind)
-		binary.LittleEndian.PutUint32(ent[4:], sec.shard)
-		binary.LittleEndian.PutUint64(ent[8:], offs[i])
-		binary.LittleEndian.PutUint64(ent[16:], sec.length)
-		if _, err := w.Write(ent[:]); err != nil {
-			return err
-		}
-	}
-	var zeros [8]byte
-	pos := uint64(v4HeaderLen + v4DirEntryLen*len(sections))
-	for i, sec := range sections {
-		if p := offs[i] - pos; p > 0 {
-			if _, err := w.Write(zeros[:p]); err != nil {
-				return err
-			}
-		}
-		if err := sec.write(w); err != nil {
-			return fmt.Errorf("shard: write section kind %d shard %d: %w", sec.kind, sec.shard, err)
-		}
-		pos = offs[i] + sec.length
-	}
-	if p := fileSize - pos; p > 0 {
-		if _, err := w.Write(zeros[:p]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// v4dir is the parsed directory: section lookup by (kind, shard).
-type v4dir struct {
-	data []byte
-	secs map[[2]uint32][]byte
-}
-
-// section returns the named section's bytes, or an error naming it.
-func (d *v4dir) section(kind, shard uint32) ([]byte, error) {
-	b, ok := d.secs[[2]uint32{kind, shard}]
-	if !ok {
-		return nil, fmt.Errorf("shard: v4 index is missing section kind %d shard %d", kind, shard)
-	}
-	return b, nil
-}
-
-// parseV4 validates the header and directory of a v4 container: magic, file
-// size, per-entry alignment and bounds (overflow-safe), no duplicate (kind,
-// shard) keys, and no overlapping sections. Section bodies are NOT examined —
-// that is each constructor's job — but after parseV4 every section slice is
-// guaranteed to lie inside data.
-func parseV4(data []byte) (*v4dir, error) {
-	if len(data) < v4HeaderLen {
-		return nil, fmt.Errorf("shard: v4 index of %d bytes is shorter than the header", len(data))
-	}
-	if [8]byte(data[:8]) != v4Magic {
-		return nil, fmt.Errorf("shard: bad magic %q", data[:8])
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	fileSize := binary.LittleEndian.Uint64(data[16:])
-	if fileSize != uint64(len(data)) {
-		return nil, fmt.Errorf("shard: v4 header declares %d bytes, file has %d", fileSize, len(data))
-	}
-	if count == 0 || count > uint64(len(data)-v4HeaderLen)/v4DirEntryLen {
-		return nil, fmt.Errorf("shard: implausible v4 section count %d for %d bytes", count, len(data))
-	}
-	dirEnd := uint64(v4HeaderLen) + count*v4DirEntryLen
-	d := &v4dir{data: data, secs: make(map[[2]uint32][]byte, count)}
-	type span struct{ off, end uint64 }
-	spans := make([]span, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ent := data[v4HeaderLen+i*v4DirEntryLen:]
-		kind := binary.LittleEndian.Uint32(ent[0:])
-		shard := binary.LittleEndian.Uint32(ent[4:])
-		off := binary.LittleEndian.Uint64(ent[8:])
-		length := binary.LittleEndian.Uint64(ent[16:])
-		if off%8 != 0 {
-			return nil, fmt.Errorf("shard: v4 section %d (kind %d shard %d) at unaligned offset %d", i, kind, shard, off)
-		}
-		if off < dirEnd || off > fileSize || length > fileSize-off {
-			return nil, fmt.Errorf("shard: v4 section %d (kind %d shard %d) spans [%d, %d+%d) outside the file",
-				i, kind, shard, off, off, length)
-		}
-		key := [2]uint32{kind, shard}
-		if _, dup := d.secs[key]; dup {
-			return nil, fmt.Errorf("shard: v4 index has duplicate section kind %d shard %d", kind, shard)
-		}
-		d.secs[key] = data[off : off+length : off+length]
-		spans = append(spans, span{off: off, end: off + length})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].off < spans[i-1].end {
-			return nil, fmt.Errorf("shard: v4 sections overlap at offset %d", spans[i].off)
-		}
-	}
-	return d, nil
-}
-
-// v4view builds a typed view over one section, naming the section on error.
-func v4view[T mmapfile.Scalar](d *v4dir, kind, shard uint32) ([]T, error) {
-	b, err := d.section(kind, shard)
-	if err != nil {
-		return nil, err
-	}
-	v, err := mmapfile.View[T](b)
-	if err != nil {
-		return nil, fmt.Errorf("shard: v4 section kind %d shard %d: %w", kind, shard, err)
-	}
-	return v, nil
-}
-
-// ReadBytes loads a v4 container from data with no cancellation. See
-// ReadBytesContext.
-func ReadBytes(data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
-	return ReadBytesContext(context.Background(), data, db, m)
+	return container.Write(w, v4Magic, sections)
 }
 
 // ReadBytesContext loads a v4 container directly from a byte slice —
@@ -300,11 +141,17 @@ func ReadBytes(data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
 // value) is checked here, so corrupt or truncated files fail with an error —
 // never a panic, and never an out-of-bounds read later at query time.
 func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
-	d, err := parseV4(data)
+	if len(data) >= 8 {
+		switch string(data[:8]) {
+		case "NBIDX001", "NBIDX002", "NBIDX003":
+			return nil, fmt.Errorf("shard: index format %s is no longer read; rebuild the index from the database", data[:8])
+		}
+	}
+	d, err := container.Parse(data, v4Magic)
 	if err != nil {
 		return nil, err
 	}
-	manifest, err := v4view[uint64](d, secManifest, 0)
+	manifest, err := container.View[uint64](d, secManifest, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +163,7 @@ func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m me
 		return nil, fmt.Errorf("shard: v4 manifest declares %d shards with %d entries for %d graphs",
 			shardCount, len(manifest), db.Len())
 	}
-	gridView, err := v4view[float64](d, secGrid, 0)
+	gridView, err := container.View[float64](d, secGrid, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -362,20 +209,20 @@ func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m me
 // run once at the part's first use (nbindex.Index.EnsureValid, called by
 // session creation and Insert), which is where corrupt content surfaces as
 // an error.
-func readPartV4(d *v4dir, sh uint32, base graph.ID, count int, db *graph.Database, m metric.Metric, grid []float64) (*nbindex.Index, error) {
-	vps, err := v4view[graph.ID](d, secVPs, sh)
+func readPartV4(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.Database, m metric.Metric, grid []float64) (*nbindex.Index, error) {
+	vps, err := container.View[graph.ID](d, secVPs, sh)
 	if err != nil {
 		return nil, err
 	}
-	dist, err := v4view[float64](d, secDist, sh)
+	dist, err := container.View[float64](d, secDist, sh)
 	if err != nil {
 		return nil, err
 	}
-	sortedD, err := v4view[float64](d, secSortedD, sh)
+	sortedD, err := container.View[float64](d, secSortedD, sh)
 	if err != nil {
 		return nil, err
 	}
-	byDist, err := v4view[graph.ID](d, secByDist, sh)
+	byDist, err := container.View[graph.ID](d, secByDist, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +231,7 @@ func readPartV4(d *v4dir, sh uint32, base graph.ID, count int, db *graph.Databas
 		return nil, err
 	}
 
-	meta, err := v4view[uint64](d, secTreeMeta, sh)
+	meta, err := container.View[uint64](d, secTreeMeta, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -395,35 +242,35 @@ func readPartV4(d *v4dir, sh uint32, base graph.ID, count int, db *graph.Databas
 	if numNodes == 0 || numNodes > uint64(2*count) {
 		return nil, fmt.Errorf("nbtree: implausible node count %d for %d graphs", numNodes, count)
 	}
-	centroids, err := v4view[graph.ID](d, secCentroid, sh)
+	centroids, err := container.View[graph.ID](d, secCentroid, sh)
 	if err != nil {
 		return nil, err
 	}
-	parents, err := v4view[int32](d, secParent, sh)
+	parents, err := container.View[int32](d, secParent, sh)
 	if err != nil {
 		return nil, err
 	}
-	firstChild, err := v4view[int32](d, secFirstChild, sh)
+	firstChild, err := container.View[int32](d, secFirstChild, sh)
 	if err != nil {
 		return nil, err
 	}
-	nextSibling, err := v4view[int32](d, secNextSibling, sh)
+	nextSibling, err := container.View[int32](d, secNextSibling, sh)
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := v4view[int32](d, secSize, sh)
+	sizes, err := container.View[int32](d, secSize, sh)
 	if err != nil {
 		return nil, err
 	}
-	leaves, err := d.section(secLeaf, sh)
+	leaves, err := d.Section(secLeaf, sh)
 	if err != nil {
 		return nil, err
 	}
-	radii, err := v4view[float64](d, secRadius, sh)
+	radii, err := container.View[float64](d, secRadius, sh)
 	if err != nil {
 		return nil, err
 	}
-	diameters, err := v4view[float64](d, secDiameter, sh)
+	diameters, err := container.View[float64](d, secDiameter, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -443,15 +290,15 @@ func readPartV4(d *v4dir, sh uint32, base graph.ID, count int, db *graph.Databas
 		return nil, err
 	}
 
-	leafOf, err := v4view[int32](d, secLeafOf, sh)
+	leafOf, err := container.View[int32](d, secLeafOf, sh)
 	if err != nil {
 		return nil, err
 	}
-	embOffs, err := v4view[uint32](d, secEmbOffsets, sh)
+	embOffs, err := container.View[uint32](d, secEmbOffsets, sh)
 	if err != nil {
 		return nil, err
 	}
-	embBlob, err := d.section(secEmbBlob, sh)
+	embBlob, err := d.Section(secEmbBlob, sh)
 	if err != nil {
 		return nil, err
 	}

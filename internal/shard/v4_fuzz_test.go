@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 
 // FuzzReadIndexV4 is the hostile-input contract of the zero-copy load path:
 // whatever bytes arrive — truncated files, corrupt directories, overlapping
-// or misaligned sections, mangled array contents — ReadBytes and the first
-// session over its result either return an error or yield queries that run
-// without faulting. Nothing on the path may panic or index outside the
+// or misaligned sections, mangled array contents — ReadBytesContext and the
+// first session over its result either return an error or yield queries that
+// run without faulting. Nothing on the path may panic or index outside the
 // input, because in production the input is a shared read-only mapping of an
 // arbitrary on-disk file.
 func FuzzReadIndexV4(f *testing.F) {
@@ -28,7 +29,7 @@ func FuzzReadIndexV4(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := set.EncodeV4(&buf); err != nil {
+	if err := set.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -51,11 +52,11 @@ func FuzzReadIndexV4(f *testing.F) {
 	thetas := set.Grid()
 	theta := thetas[len(thetas)/2]
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadBytes(data, db, m)
+		s, err := ReadBytesContext(context.Background(), data, db, m)
 		if err != nil {
 			return
 		}
-		// ReadBytes checks shape (header, directory, section lengths) in
+		// ReadBytesContext checks shape (header, directory, section lengths) in
 		// O(1) per shard; the O(n) content validation is deferred to first
 		// use, so corrupt content must surface HERE as a session error —
 		// never as a panic or out-of-range access.

@@ -19,11 +19,8 @@ import (
 //     bounds compose exactly;
 //   - at a fixed shard count, everything — answers, SaveIndex bytes, and
 //     QueryStats — is identical for any Workers value;
-//   - a v2 index file round-trips through SaveIndex/OpenWithIndex with its
-//     shard count intact;
-//   - a v1 index file (committed golden blob from the pre-shard engine)
-//     still loads, comes up as one shard, and answers identically to a
-//     fresh build.
+//   - a multi-shard index round-trips through SaveIndex/OpenWithIndex with
+//     its shard count intact.
 //
 // QueryStats totals are deliberately NOT compared across different shard
 // counts: each count's forest has its own shape, so the search does a
@@ -259,102 +256,6 @@ func TestSaveIndexShardRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), blob) {
 		t.Error("re-saved index bytes differ from the original")
-	}
-}
-
-// TestV1IndexGolden loads the committed pre-shard (format v1) index blob —
-// generated by the engine as it existed before sharding, over dud n=120
-// seed=7 — and checks it comes up as a single shard answering exactly like a
-// fresh build. This is the backward-compatibility contract: stored v1
-// indexes keep working unchanged.
-func TestV1IndexGolden(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "index_v1_dud120_seed7.nbx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := graphrep.GenerateDataset("dud", 120, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("v1 index blob no longer loads: %v", err)
-	}
-	if loaded.Shards() != 1 {
-		t.Fatalf("v1 index loaded as %d shards, want 1", loaded.Shards())
-	}
-	fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAnswers, _, wantPoints := collectAnswers(t, fresh, 5)
-	gotAnswers, _, gotPoints := collectAnswers(t, loaded, 5)
-	if !reflect.DeepEqual(gotAnswers, wantAnswers) {
-		t.Errorf("v1-loaded engine answers differ from fresh build:\n got %+v\nwant %+v", gotAnswers, wantAnswers)
-	}
-	if !reflect.DeepEqual(gotPoints, wantPoints) {
-		t.Error("v1-loaded engine sweep curve differs from fresh build")
-	}
-	// A re-save upgrades to the current format and still round-trips.
-	var upBuf bytes.Buffer
-	if err := loaded.SaveIndex(&upBuf); err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := graphrep.OpenWithIndex(db, &upBuf)
-	if err != nil {
-		t.Fatalf("re-saved v1 index does not reload: %v", err)
-	}
-	gotAnswers, _, _ = collectAnswers(t, upgraded, 5)
-	if !reflect.DeepEqual(gotAnswers, wantAnswers) {
-		t.Error("upgraded (v1→current) index answers differ")
-	}
-}
-
-// TestV2IndexGolden loads the committed pre-embedding (format v2) index
-// blob — generated by the engine as it existed before the filter-embedding
-// tier, over dud n=120 seed=7 with two shards — and checks the compat path:
-// it loads with its shard layout intact, the embeddings are recomputed from
-// the database, answers match a fresh build exactly, and a re-save upgrades
-// to bytes identical to a fresh save in the current format (embeddings are
-// a pure function of the graphs, so the recomputed vectors equal the ones a
-// fresh build persists).
-func TestV2IndexGolden(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "index_v2_dud120_seed7.nbx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := graphrep.GenerateDataset("dud", 120, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("v2 index blob no longer loads: %v", err)
-	}
-	if loaded.Shards() != 2 {
-		t.Fatalf("v2 index loaded as %d shards, want 2", loaded.Shards())
-	}
-	fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAnswers, _, wantPoints := collectAnswers(t, fresh, 5)
-	gotAnswers, _, gotPoints := collectAnswers(t, loaded, 5)
-	if !reflect.DeepEqual(gotAnswers, wantAnswers) {
-		t.Errorf("v2-loaded engine answers differ from fresh build:\n got %+v\nwant %+v", gotAnswers, wantAnswers)
-	}
-	if !reflect.DeepEqual(gotPoints, wantPoints) {
-		t.Error("v2-loaded engine sweep curve differs from fresh build")
-	}
-	var upgraded, freshSave bytes.Buffer
-	if err := loaded.SaveIndex(&upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.SaveIndex(&freshSave); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(upgraded.Bytes(), freshSave.Bytes()) {
-		t.Error("upgraded (v2→current) index bytes differ from a fresh save")
 	}
 }
 
