@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -148,17 +147,7 @@ func benchGraphLoad(w io.Writer, outPath string, sizes []int) error {
 		}
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeReport(outPath, report); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", outPath)

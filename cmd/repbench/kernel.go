@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -37,10 +35,6 @@ type KernelPrune struct {
 	RowMinSolved int64 `json:"rowMinSolved"`
 	Greedy       int64 `json:"greedy"`
 	BoundedExact int64 `json:"boundedExact"`
-	// GreedyTried is the adaptive greedy gate's attempt denominator (see
-	// metric.PruneStats); a denominator far below BoundedExact means the
-	// gate retired the tier mid-run.
-	GreedyTried int64 `json:"greedyTried"`
 }
 
 // KernelBenchSide is one configuration's measurements. Full solves are
@@ -186,17 +180,7 @@ func benchKernel(w io.Writer, outPath string, sizes []int) error {
 		}
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeReport(outPath, report); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", outPath)
@@ -250,7 +234,6 @@ func runKernelSide(db *graphrep.Database, rel graphrep.Relevance, k int, opts gr
 		RowMinSolved: snap.Prune.RowMinSolved,
 		Greedy:       snap.Prune.Greedy,
 		BoundedExact: snap.Prune.BoundedExact,
-		GreedyTried:  snap.Prune.GreedyTried,
 	}
 	return side, res, nil
 }

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +34,7 @@ import (
 	"strings"
 
 	"graphrep/internal/experiments"
+	"graphrep/internal/mmapfile"
 )
 
 func main() {
@@ -152,6 +154,16 @@ func main() {
 	if err := e.Run(w, s); err != nil {
 		fatal(err)
 	}
+}
+
+// writeReport writes a bench report as indented JSON, atomically: a reader
+// sees the previous report or the new one, never a torn file.
+func writeReport(path string, v any) error {
+	return mmapfile.WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 func fatal(err error) {

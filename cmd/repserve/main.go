@@ -111,20 +111,35 @@ func loadDatabase(path, name string, n int, seed int64) (*graphrep.Database, err
 	if path == "" {
 		return graphrep.GenerateDataset(name, n, seed)
 	}
-	return graphrep.LoadDatabaseFile(path)
+	db, err := graphrep.LoadDatabaseFile(path)
+	if err != nil {
+		return nil, err
+	}
+	// A mapped corpus defers its content scan to first use; run it now, so
+	// a corrupt file stops startup instead of failing every query.
+	if err := db.EnsureValid(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return db, nil
 }
 
 // openEngine loads a persisted index when available (its stored shard count
 // wins over the -shards flag), otherwise builds one (on up to workers
 // goroutines, split into shards partitions) and persists it to indexPath
 // (when given) — also when the stored file is unusable, e.g. an index of a
-// format no longer read, which the rebuild then replaces. Stored v4 indexes are memory-mapped — the process starts
-// serving immediately and index pages fault in on first use; the mapping
-// lives as long as the process, so the engine is never Closed here.
+// format no longer read or one whose section bytes are corrupt, which the
+// rebuild then replaces. Stored v4 indexes are memory-mapped and their
+// content is validated before serving, in one pass over the mapping; the
+// mapping lives as long as the process, so the engine is never Closed here.
 func openEngine(db *graphrep.Database, indexPath string, seed int64, workers, shards int) (*graphrep.Engine, error) {
 	if indexPath != "" {
 		if _, err := os.Stat(indexPath); err == nil {
 			engine, err := graphrep.OpenWithIndexFile(db, indexPath, graphrep.Options{Workers: workers})
+			if err == nil {
+				if err = engine.EnsureValid(); err != nil {
+					engine.Close()
+				}
+			}
 			if err == nil {
 				log.Printf("loaded index from %s (%d shard(s))", indexPath, engine.Shards())
 				return engine, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphrep"
+	"graphrep/internal/container"
 )
 
 // TestOpenEngineRebuildsLegacyIndex points repserve at an index file of the
@@ -58,5 +59,61 @@ func TestOpenEngineRebuildsLegacyIndex(t *testing.T) {
 	defer reopened.Close()
 	if reopened.Shards() != 2 {
 		t.Fatalf("reopened engine has %d shards, want the stored 2", reopened.Shards())
+	}
+}
+
+// TestOpenEngineRebuildsCorruptIndex flips bytes inside a section of a saved
+// v4 index. The mapped open checks only the header and directory, so the
+// corruption must be caught by the content validation openEngine runs before
+// serving: it rebuilds, replaces the file with the same bytes a clean build
+// writes, and the engine it returns answers queries.
+func TestOpenEngineRebuildsCorruptIndex(t *testing.T) {
+	db, err := graphrep.GenerateDataset("dud", 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.nbx")
+	if _, err := openEngine(db, path, 1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Overwrite the first record header of the embedding blob (section kind
+	// 41, shard 0) with an implausible star count.
+	corrupt := append([]byte(nil), clean...)
+	dir, err := container.Parse(corrupt, [8]byte([]byte("NBIDX004")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := dir.Section(41, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob, 0x7fffffff)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	engine, err := openEngine(db, path, 1, 1, 1)
+	if err != nil {
+		t.Fatalf("openEngine over a corrupt index: %v", err)
+	}
+	defer engine.Close()
+	sess, err := engine.NewSession(graphrep.FirstQuartileRelevance(db, nil))
+	if err != nil {
+		t.Fatalf("session over the served index: %v", err)
+	}
+	if _, err := sess.TopK(10, 3); err != nil {
+		t.Fatalf("query over the served index: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, clean) {
+		t.Fatal("index file after the rebuild differs from the clean build")
 	}
 }

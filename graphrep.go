@@ -252,6 +252,13 @@ func (e *Engine) Close() error {
 	return c.Close()
 }
 
+// EnsureValid runs now the content validation that an engine over a mapped
+// corpus (OpenDatabaseFile) or a mapped index (OpenWithIndexFile) defers to
+// its first session or insert, and returns the verdict; later calls return
+// it from cache. A server calls it before serving, so a corrupt file stops
+// startup — or triggers a rebuild — instead of failing every query.
+func (e *Engine) EnsureValid() error { return e.set.EnsureValid() }
+
 // Open indexes db and returns a query engine. It is OpenContext with no
 // cancellation.
 func Open(db *Database, opts ...Options) (*Engine, error) {
@@ -615,11 +622,6 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		if err := reg.NewCounterFunc("graphrep_metric_bounded_exact_total",
 			"Threshold tests that needed a completed Hungarian solve.",
 			func() int64 { return stages.PruneStats().BoundedExact }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_greedy_tried_total",
-			"Threshold tests on which the greedy upper-bound tier ran (adaptive gate attempt denominator).",
-			func() int64 { return stages.PruneStats().GreedyTried }); err != nil {
 			return nil, err
 		}
 	}

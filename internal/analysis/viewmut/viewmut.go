@@ -2,9 +2,10 @@
 // read-only mapping and flags in-place mutation of them.
 //
 // The v4 index container is queried through zero-copy views: mmapfile.View
-// reinterprets mapped bytes as []T, and the deferred constructors
-// (vantage.FromViewsDeferred, nbtree.NewFlatDeferred, ged.NewTableDeferred,
-// nbindex.PartFromViewsDeferred) retain those views in struct fields. A
+// reinterprets mapped bytes as []T, and the view constructors — all of them
+// deferred: vantage.FromViewsDeferred, nbtree.NewFlatDeferred,
+// ged.NewTableDeferred, nbindex.PartFromViewsDeferred — retain those views
+// in struct fields. A
 // write through any of them is a write to PROT_READ memory — SIGSEGV at
 // best, silent cross-section corruption if the page was ever made private.
 // The compiler cannot see this; viewmut can, via three facts that cross
@@ -90,9 +91,14 @@ var ThawSites = map[string]string{
 	// so the leading append must reallocate onto the heap before the
 	// element writes and copies that follow touch the row.
 	"vantage.(*Ordering).Insert": "rows are cap==len views; the leading append reallocates before any element write",
-	// Insert calls thaw() first, which copies leafOf (and rebuilds the
-	// tree and embeddings) off the mapping before the rebuild writes.
-	"nbindex.(*Index).Insert": "thaw() copies leafOf off the mapping before the leaf-map rebuild writes",
+	// Insert calls thaw() first, which copies leafOf and the flat tree (and
+	// decodes the embeddings) off the mapping before the leaf-map writes.
+	"nbindex.(*Index).Insert": "thaw() copies leafOf and the flat tree off the mapping before the leaf-map writes",
+	// The flat tree grows only on the heap: add builds the fresh Flat of
+	// BuildSubsetContext, and both add and Insert otherwise run only under
+	// nbindex.(*Index).Insert, after thaw() has cloned the tree.
+	"nbtree.(*Flat).add":    "runs on the builder's fresh Flat or on a tree Index.Insert has cloned off the mapping",
+	"nbtree.(*Flat).Insert": "runs only under Index.Insert, after thaw() has cloned the tree off the mapping",
 }
 
 // Analyzer flags writes, sorts, copies, and in-place appends through slices

@@ -38,7 +38,7 @@ func RunFig6kConstruction(w io.Writer, s Scale) error {
 		metric.NewMatrix(fx.DB, mcount, 4)
 		matrixDur := time.Since(start)
 
-		st := ix.Part(0).Tree().Stats()
+		st := ix.Part(0).Flat().Stats()
 		prunedFrac := 0.0
 		if tot := st.ExactDistances + st.PrunedDistances; tot > 0 {
 			prunedFrac = float64(st.PrunedDistances) / float64(tot)
@@ -72,7 +72,7 @@ func RunFig6lFootprint(w io.Writer, s Scale) error {
 		fmt.Fprintf(w, "%8d | %12.1f %12.1f %12.1f | %14.1f\n",
 			n,
 			float64(ix.Part(0).VO().Bytes())/1024,
-			float64(ix.Part(0).Tree().Bytes())/1024,
+			float64(ix.Part(0).Flat().Bytes())/1024,
 			float64(sess.PiHatBytes())/1024,
 			float64(matrixBytes)/1024)
 	}

@@ -119,7 +119,7 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := NewTable(built.Offsets(), built.Blob())
+	tab, err := newTable(built.Offsets(), built.Blob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +143,16 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 			t.Fatalf("graph %d: decoded bound %v != original %v", i, got, want)
 		}
 	}
+}
+
+// newTable wraps a table and runs its record scan, as a mapped index's first
+// use does.
+func newTable(offs []uint32, blob []byte) (*Table, error) {
+	t, err := NewTableDeferred(offs, blob)
+	if err != nil {
+		return nil, err
+	}
+	return t, t.Validate()
 }
 
 // A Table must reject corrupt records at validation instead of allocating
@@ -174,7 +184,7 @@ func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 		rec := tc.mutate(blob)
 		// One record spanning the whole blob, so the frame checks pass and
 		// only the record validation can reject it.
-		if _, err := NewTable([]uint32{0, uint32(len(rec))}, rec); err == nil {
+		if _, err := newTable([]uint32{0, uint32(len(rec))}, rec); err == nil {
 			t.Errorf("%s: table accepted a corrupt record", tc.name)
 		}
 	}

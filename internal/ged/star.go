@@ -295,22 +295,6 @@ func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
 // passing it down avoids a second L1 scan per decision). emblo must equal
 // a.Embedding().LowerBound(b.Embedding()).
 func (a *StarSig) DistanceAtMostWithLower(b *StarSig, tau, emblo float64) Decision {
-	return a.decideAtMost(b, tau, emblo, true)
-}
-
-// DistanceAtMostTiers is DistanceAtMostWithLower under an explicit tier
-// policy: tryGreedy enables the greedy upper-bound tier (greedy plus 2-swap
-// polish). The lower-bound tiers and the exact solve always run; disabling
-// the tier never changes a verdict — a skipped greedy success falls through
-// to the exact solve, which proves the same answer with Lo == Hi. The metric
-// layer drives the flag from its adaptive tier gate, which retires the tier
-// once its measured fire rate on the live workload drops below the tier's
-// breakeven (see metric's greedyGateMinRate).
-func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
-	return a.decideAtMost(b, tau, emblo, tryGreedy)
-}
-
-func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
 	n := max(len(a.deg), len(b.deg))
 	if n == 0 {
 		return Decision{Leq: 0 <= tau, Stage: StageExact, Lo: 0, Hi: 0}
@@ -339,12 +323,7 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy bool) D
 	// identically.
 	sc := getScratch(n)
 	fillCost(sc.cost, a, b, n)
-	var greedy, rowSum int64
-	if tryGreedy {
-		greedy, rowSum = sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
-	} else {
-		rowSum = assignment.RowMins(sc.cost, n, sc.rowMin)
-	}
+	greedy, rowSum := sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
 	lo = max(lo, float64(rowSum))
 	if lo > tau {
 		if lo > tau+rowMinDeepMargin {
@@ -379,32 +358,22 @@ func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy bool) D
 	// verdict and interval are those of the tier failing — and the exact
 	// solve below resumes from the reduced duals, so the pass costs nothing
 	// when the tier does not land.
-	t := floorThreshold(tau)
-	ub, reduced := inf, false
-	if tryGreedy {
-		if ub = float64(greedy); ub > tau {
-			reduced = true
-			if sc.solver.Reduce(sc.cost, n, sc.rowMin) <= t {
-				ub = float64(sc.solver.PolishAtMost(sc.cost, n, t, greedy))
-			}
-		}
-	}
-	if ub <= tau {
+	if ub := float64(greedy); ub <= tau {
 		putScratch(sc)
 		return Decision{Leq: true, Stage: StageGreedy, Lo: lo, Hi: ub}
 	}
+	if t := floorThreshold(tau); sc.solver.Reduce(sc.cost, n, sc.rowMin) <= t {
+		if ub := float64(sc.solver.PolishAtMost(sc.cost, n, t, greedy)); ub <= tau {
+			putScratch(sc)
+			return Decision{Leq: true, Stage: StageGreedy, Lo: lo, Hi: ub}
+		}
+	}
 
-	// Stage 4 — the exact solve, warm-started from the row minima (see
+	// Stage 4 — the exact solve, resumed from the duals Reduce set (see
 	// assignment.IntSolver.TotalWarm): the cascade's bound computations
 	// double as the solver's initialization.
-	var d int64
-	if reduced {
-		d = sc.solver.TotalReduced(sc.cost, n)
-	} else {
-		d = sc.solver.TotalWarm(sc.cost, n, sc.rowMin)
-	}
+	total := float64(sc.solver.TotalReduced(sc.cost, n))
 	putScratch(sc)
-	total := float64(d)
 	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total}
 }
 

@@ -50,43 +50,6 @@ func TestBoundedKernelNeverContradictsExact(t *testing.T) {
 	}
 }
 
-// The tier-policy contract behind the metric layer's adaptive gate: neither
-// tryGreedy setting may change a verdict or break the sandwich, and a
-// disabled greedy tier never appears as the deciding stage.
-func TestDistanceAtMostTiersPolicyInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := NewStarSig(randGraph(r, 10))
-		b := NewStarSig(randGraph(r, 10))
-		d := a.Distance(b)
-		emblo := a.Embedding().LowerBound(b.Embedding())
-		for _, tau := range []float64{d - 1, d - 0.5, d, d + 1, 0, d / 2, 2 * d} {
-			for _, tryGreedy := range []bool{false, true} {
-				dec := a.DistanceAtMostTiers(b, tau, emblo, tryGreedy)
-				if dec.Leq != (d <= tau) {
-					t.Logf("seed=%d tau=%v d=%v greedy=%v: Leq=%v stage=%v",
-						seed, tau, d, tryGreedy, dec.Leq, dec.Stage)
-					return false
-				}
-				if dec.Lo > d || dec.Hi < d {
-					t.Logf("seed=%d tau=%v greedy=%v: interval [%v,%v] excludes d=%v",
-						seed, tau, tryGreedy, dec.Lo, dec.Hi, d)
-					return false
-				}
-				if !tryGreedy && dec.Stage == StageGreedy {
-					t.Logf("seed=%d tau=%v: disabled greedy tier decided", seed, tau)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Every cascade stage must be reachable — otherwise a bound has quietly
 // become dead code and the kernel degrades to always-exact.
 func TestBoundedKernelStagesFire(t *testing.T) {

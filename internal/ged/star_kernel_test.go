@@ -12,10 +12,10 @@ import (
 
 // The differential oracle: on seeded pairs from the three generator shapes,
 // the integer kernel's exact Distance equals the reference (merge fill +
-// float assignment.Solve), and DistanceAtMostTiers with the greedy tier on
-// and off returns the reference verdict with an interval that sandwiches the
-// reference distance — at thresholds on, between and around the integer
-// boundaries, plus 0, −1 and +Inf.
+// float assignment.Solve), and DistanceAtMostWithLower returns the
+// reference verdict with an interval that sandwiches the reference distance
+// — at thresholds on, between and around the integer boundaries, plus 0, −1,
+// +Inf and NaN.
 func TestStarKernelMatchesReference(t *testing.T) {
 	pairs := 2000
 	if raceEnabled {
@@ -40,13 +40,10 @@ func TestStarKernelMatchesReference(t *testing.T) {
 					t.Fatalf("pair (%d,%d): Distance %v, reference %v", i, j, got, want)
 				}
 				emblo := a.Embedding().LowerBound(b.Embedding())
-				for _, tau := range []float64{want - 1, want - 0.5, want, want + 0.5, want + 1, 0, -1, math.Inf(1)} {
-					for _, tryGreedy := range []bool{false, true} {
-						dec := a.DistanceAtMostTiers(b, tau, emblo, tryGreedy)
-						if err := checkDecision(dec, want, tau, tryGreedy); err != "" {
-							t.Fatalf("pair (%d,%d) tau=%v greedy=%v: %s (%+v, reference %v)",
-								i, j, tau, tryGreedy, err, dec, want)
-						}
+				for _, tau := range []float64{want - 1, want - 0.5, want, want + 0.5, want + 1, 0, -1, math.Inf(1), math.NaN()} {
+					dec := a.DistanceAtMostWithLower(b, tau, emblo)
+					if err := checkDecision(dec, want, tau); err != "" {
+						t.Fatalf("pair (%d,%d) tau=%v: %s (%+v, reference %v)", i, j, tau, err, dec, want)
 					}
 				}
 			}
@@ -56,7 +53,7 @@ func TestStarKernelMatchesReference(t *testing.T) {
 
 // checkDecision returns what is wrong with dec as the cascade's answer for a
 // pair at reference distance d, or "" when nothing is.
-func checkDecision(dec Decision, d, tau float64, tryGreedy bool) string {
+func checkDecision(dec Decision, d, tau float64) string {
 	switch {
 	case dec.Leq != (d <= tau):
 		return "verdict differs from the reference"
@@ -68,12 +65,6 @@ func checkDecision(dec Decision, d, tau float64, tryGreedy bool) string {
 		return "true verdict without an upper bound at or below tau"
 	case dec.Exact() && dec.Lo != d:
 		return "exact interval is not the reference distance"
-	case !tryGreedy && dec.Stage == StageGreedy && !math.IsInf(tau, 1):
-		// At tau = +Inf the unset upper bound (+Inf) already satisfies
-		// Hi ≤ tau, so the cascade answers at the greedy stage with no greedy
-		// work whatever the policy — kept as is, since stage attribution
-		// must not move in this kernel.
-		return "disabled greedy tier decided"
 	}
 	return ""
 }
@@ -146,11 +137,9 @@ func TestStarKernelDegreeBound(t *testing.T) {
 		t.Fatalf("Distance at the degree bound = %v, want %v", got, want)
 	}
 	for _, tau := range []float64{want - 1, want, want + 1, 0} {
-		for _, tryGreedy := range []bool{false, true} {
-			dec := a.DistanceAtMostTiers(b, tau, 0, tryGreedy)
-			if err := checkDecision(dec, want, tau, tryGreedy); err != "" {
-				t.Fatalf("tau=%v greedy=%v: %s (%+v)", tau, tryGreedy, err, dec)
-			}
+		dec := a.DistanceAtMostWithLower(b, tau, 0)
+		if err := checkDecision(dec, want, tau); err != "" {
+			t.Fatalf("tau=%v: %s (%+v)", tau, err, dec)
 		}
 	}
 

@@ -17,28 +17,12 @@ type Table struct {
 	blob []byte
 }
 
-// NewTable wraps an offset array and record blob after validating every
-// record boundary: offsets start at zero, never decrease, end exactly at the
-// blob's end, and each record's header-implied length matches its offset
-// span. At can therefore decode any record without reading outside its span.
-// The slices are retained, not copied. It is NewTableDeferred followed
-// immediately by Validate.
-func NewTable(offs []uint32, blob []byte) (*Table, error) {
-	t, err := NewTableDeferred(offs, blob)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// NewTableDeferred is NewTable minus the per-record scan: it checks only the
-// O(1) frame invariants (a first offset of zero, a last offset at the blob's
-// end) and defers Validate to the caller, keeping a mapped open independent
+// NewTableDeferred wraps an offset array and record blob — typically
+// zero-copy views over v4 index sections. It checks only the O(1) frame
+// invariants (a first offset of zero, a last offset at the blob's end) and
+// defers the per-record scan to Validate, keeping a mapped open independent
 // of index size. No record may be read — not even Stars — until Validate
-// has passed.
+// has passed. The slices are retained, not copied.
 func NewTableDeferred(offs []uint32, blob []byte) (*Table, error) {
 	if len(offs) == 0 {
 		return nil, fmt.Errorf("ged: embedding table has no offsets")
@@ -116,7 +100,7 @@ func validateEmbeddingRecord(rec []byte) error {
 }
 
 // decodeEmbeddingBytes decodes one validated record written by
-// Embedding.Encode; bounds are guaranteed by NewTable's validation.
+// Embedding.Encode; bounds are guaranteed by Validate.
 func decodeEmbeddingBytes(rec []byte) *Embedding {
 	n := int(binary.LittleEndian.Uint32(rec[0:]))
 	nc := int(binary.LittleEndian.Uint32(rec[4:]))

@@ -93,11 +93,9 @@ type PruneStats struct {
 	BoundedExact int64
 	ExactValues  int64
 
-	// GreedyTried is the adaptive greedy gate's attempt denominator: the
-	// decisions on which the greedy tier actually ran. Greedy/GreedyTried is
-	// the live fire rate the gate weighs against the tier's breakeven; a
-	// denominator that stops growing while decisions continue means the gate
-	// has retired the tier.
+	// GreedyTried is the number of decisions the greedy tier ran on: every
+	// decision past the lower-bound tiers, Greedy + BoundedExact. It is
+	// derived, and stays because the perfbench module's trace reads it.
 	GreedyTried int64
 	// DualArmed is always 0, like Dual, and stays for the same reader.
 	DualArmed int64
@@ -171,11 +169,7 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	if lb < 0 {
 		lb = sa.Embedding().LowerBound(sb.Embedding())
 	}
-	tryGreedy := m.greedyGateOpen()
-	dec := sa.DistanceAtMostTiers(sb, theta, lb, tryGreedy)
-	if tryGreedy && dec.Stage >= ged.StageGreedy {
-		m.greedyTried.Add(1)
-	}
+	dec := sa.DistanceAtMostWithLower(sb, theta, lb)
 	m.stages[dec.Stage].Add(1)
 	if dec.Stage == ged.StageRowMin && dec.Exact() {
 		m.rowMinSolved.Add(1)
@@ -183,68 +177,18 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	return decision{leq: dec.Leq, pruned: !dec.Exact(), lo: dec.Lo, hi: dec.Hi}
 }
 
-// The adaptive tier gate. The greedy upper bound is the cascade tier whose
-// economics depend on the workload rather than the data alone. A greedy
-// success durably prunes one warm-started Hungarian solve, while a failure
-// pays the assignment bookkeeping and swap polish on top of the solve it
-// failed to avoid — against the measured costs on the reference workload,
-// roughly a quarter of a warm solve per attempt, so the tier breaks even
-// when about one attempt in four lands. The gate watches the tier's live
-// fire rate over the decisions that actually ran it and retires the tier
-// for the metric's lifetime once, past the metric's warmup (gateWarmupFor at
-// construction), the rate sits below that breakeven. Retiring the tier never
-// changes a verdict (a skipped greedy success falls through to the exact
-// solve, which proves the same answer and memoizes more), so answers stay
-// byte-identical; only the stage composition shifts. Once closed the gate
-// stays closed: no further attempts run, so the rate that closed it is
-// frozen. Reference points: the n=400 workload finishes inside the warmup
-// with greedy landing ≈48%, so the tier stays live there; the n=4000
-// workload sits near 12% and retires it shortly after warmup, shedding its
-// cost on the ~90% of decisions it was losing.
-const (
-	gateWarmupFloor   = 4096
-	greedyGateMinRate = 0.25
-)
-
-// gateWarmupFor sizes the gate warmup for an n-graph database:
-// max(gateWarmupFloor, pairs/256) with pairs = n(n−1)/2. The floor keeps
-// small workloads from closing a gate on noise; the pairs/256 term scales
-// the observation window with the workload so that on large databases a
-// tier's measured rate has settled on a representative mix of pairs — a few
-// thousand decisions out of hundreds of millions of candidate pairs is too
-// early to retire a tier for the metric's lifetime. The policy is pinned by
-// TestGateWarmupPolicy.
-func gateWarmupFor(n int) int64 {
-	pairs := int64(n) * int64(n-1) / 2
-	if w := pairs / 256; w > gateWarmupFloor {
-		return w
-	}
-	return gateWarmupFloor
-}
-
-// greedyGateOpen reports whether the greedy tier should still run. Counter
-// reads are racy under concurrent decisions — the gate may close a handful of
-// decisions earlier or later across runs — but monotonicity keeps the
-// end state identical and verdicts never depend on it.
-func (m *starMetric) greedyGateOpen() bool {
-	tried := m.greedyTried.Load()
-	if tried < m.gateWarmup {
-		return true
-	}
-	return float64(m.stages[ged.StageGreedy].Load()) >= greedyGateMinRate*float64(tried)
-}
-
 // PruneStats implements StageCounter.
 func (m *starMetric) PruneStats() PruneStats {
-	return PruneStats{
+	p := PruneStats{
 		Embedding:    m.stages[ged.StageEmbedding].Load(),
 		RowMin:       m.stages[ged.StageRowMin].Load(),
 		Greedy:       m.stages[ged.StageGreedy].Load(),
 		RowMinSolved: m.rowMinSolved.Load(),
 		BoundedExact: m.stages[ged.StageExact].Load(),
 		ExactValues:  m.exactValues.Load(),
-		GreedyTried:  m.greedyTried.Load(),
 	}
+	p.GreedyTried = p.Greedy + p.BoundedExact
+	return p
 }
 
 // Within implements BoundedMetric: the call counts as one distance

@@ -39,10 +39,7 @@ func Star(db *graph.Database) Metric {
 	// same append-growth Insert relies on), so constructing the metric —
 	// which every engine open does — costs O(1) regardless of database
 	// size.
-	return &starMetric{
-		db:         db,
-		gateWarmup: gateWarmupFor(db.Len()),
-	}
+	return &starMetric{db: db}
 }
 
 type starMetric struct {
@@ -58,9 +55,6 @@ type starMetric struct {
 	// first use and cached. Guarded by mu (the table contents themselves are
 	// immutable).
 	tabs []tableRange
-	// gateWarmup is the adaptive tier gates' warmup length, sized to the
-	// database at construction (see gateWarmupFor).
-	gateWarmup int64
 	// stages[s] counts bounded decisions terminating at cascade stage s;
 	// exactValues counts plain Distance computations (always a full solve).
 	// Together they form the PruneStats breakdown (see bounded.go).
@@ -70,12 +64,6 @@ type starMetric struct {
 	// full Hungarian run was still spent and must show up in FullSolves.
 	rowMinSolved paddedCounter
 	exactValues  paddedCounter
-	// greedyTried counts bounded decisions on which the greedy upper-bound
-	// tier actually ran (the adaptive tier gate was open and the decision got
-	// past the lower-bound tiers). Together with the StageGreedy counter it
-	// yields the live fire rate the adaptive tier gate compares against the
-	// tier's breakeven.
-	greedyTried paddedCounter
 }
 
 // paddedCounter is an atomic.Int64 alone on its cache line. One of these

@@ -8,6 +8,7 @@ import (
 	"graphrep/internal/core"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
+	"graphrep/internal/nbindex"
 	"graphrep/internal/shard"
 )
 
@@ -41,9 +42,7 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := set.Part(0).Tree().Validate(db, m); err != nil {
-		t.Fatalf("tree invalid after inserts: %v", err)
-	}
+	checkGrownPart(t, set.Part(0), db, m)
 	relevance := func(f []float64) bool { return f[0] > 0.3 }
 	for _, theta := range []float64{3, 6, 12} {
 		want, err := core.BaselineGreedy(db, m, core.Query{Relevance: relevance, Theta: theta, K: 6})
@@ -85,15 +84,28 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := set.Part(0).Tree().Validate(db, m); err != nil {
-		t.Fatalf("tree invalid: %v", err)
-	}
+	checkGrownPart(t, set.Part(0), db, m)
 	res, err := newSession(t, set, func([]float64) bool { return true }).TopK(1e9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Power != 1 || res.Relevant != 5 {
 		t.Errorf("post-insert query: %+v", res)
+	}
+}
+
+// checkGrownPart checks a part after inserts: the tree keeps its metric
+// invariants and the leaf map sends every graph to the leaf holding it.
+func checkGrownPart(t *testing.T, ix *nbindex.Index, db *graph.Database, m metric.Metric) {
+	t.Helper()
+	f := ix.Flat()
+	if err := f.ValidateMetric(db, m); err != nil {
+		t.Fatalf("tree invalid after inserts: %v", err)
+	}
+	for id := graph.ID(0); int(id) < db.Len(); id++ {
+		if l := int32(ix.LeafIdx(id)); !f.Leaf(l) || f.Centroids[l] != id {
+			t.Fatalf("leaf map sends graph %d to node %d", id, l)
+		}
 	}
 }
 

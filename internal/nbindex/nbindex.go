@@ -42,14 +42,9 @@ type Index struct {
 	db *graph.Database
 	m  metric.Metric
 	vo *vantage.Ordering
-	// flat is the NB-Tree in array form — the representation every query
-	// navigates, whether the index was built in memory or opened over a
-	// mapping. Always set.
+	// flat is the NB-Tree, built in memory or viewed over a mapping; thaw
+	// copies it onto the heap before Insert grows it.
 	flat *nbtree.Flat
-	// tree is the pointer form, present when the index was built (or thawed
-	// for mutation); nil for view-backed indexes until something needs it.
-	// Tree() materializes it on demand from flat.
-	tree *nbtree.Tree
 	grid []float64
 	// base is the first graph ID covered.
 	base graph.ID
@@ -121,34 +116,31 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 	for i := range ids {
 		ids[i] = base + graph.ID(i)
 	}
-	tree, err := nbtree.BuildSubsetContext(ctx, db, m, ids,
+	flat, err := nbtree.BuildSubsetContext(ctx, db, m, ids,
 		nbtree.Options{Branching: branching, VO: vo, Workers: workers}, rng)
 	if err != nil {
 		return nil, err
 	}
 	done := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
+	leafOf := make([]int32, count)
+	for i, c := range flat.Centroids {
+		if flat.Leaf(int32(i)) {
+			leafOf[c-base] = int32(i)
+		}
+	}
 	ix := &Index{
-		db:   db,
-		m:    m,
-		vo:   vo,
-		flat: tree.Flatten(),
-		tree: tree,
-		grid: append([]float64(nil), grid...),
-		base: base,
+		db:     db,
+		m:      m,
+		vo:     vo,
+		flat:   flat,
+		grid:   append([]float64(nil), grid...),
+		base:   base,
+		leafOf: leafOf,
 		timing: BuildTiming{
 			Vantage: tVO.Sub(start),
 			Tree:    done.Sub(tVO),
 			Total:   done.Sub(start),
 		},
-		leafOf: func() []int32 {
-			l := make([]int32, count)
-			for _, n := range tree.Nodes() {
-				if n.Leaf {
-					l[n.Centroid-base] = int32(n.Idx)
-				}
-			}
-			return l
-		}(),
 	}
 	// Each embedding is a pure function of its graph, so the fill
 	// parallelizes freely without affecting the result.
@@ -170,36 +162,21 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 // indexes, which carry EmbeddingTable instead.
 func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 
-// PartFromViews assembles an index part from persisted components — typically
-// zero-copy views over one shard's v4 sections: the vantage ordering (see
-// vantage.FromViews), the flat NB-Tree (see nbtree.NewFlat), the leaf map,
-// and the encoded embedding table. Beyond what the component constructors
-// already guarantee, it validates the cross-component invariants queries
-// lean on: the tree covers exactly the ordering's range (root size, every
-// centroid in range), the leaf map is a bijection between covered graphs and
-// leaves, and the embedding table matches the database graph for graph
-// (record count and per-record star count). The components are retained, not
-// copied; grid is copied. It is PartFromViewsDeferred followed immediately
-// by EnsureValid.
-func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table) (*Index, error) {
-	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, embTab)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.EnsureValid(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// PartFromViewsDeferred is PartFromViews minus the O(count) content scans:
-// the shape invariants (grid ascending, range within the database, root
-// size, claimed leaf count, array lengths) are checked now, in O(grid), and
-// the content scans — the components' own deferred Validates plus the
-// cross-component loops — run once on first use, via EnsureValid. Sessions
-// and Insert call EnsureValid themselves, so a part whose content never
+// PartFromViewsDeferred assembles an index part from persisted components —
+// typically zero-copy views over one shard's v4 sections: the vantage
+// ordering (vantage.FromViewsDeferred), the flat NB-Tree
+// (nbtree.NewFlatDeferred), the leaf map, and the encoded embedding table.
+// The shape invariants (grid ascending, range within the database, root
+// size, claimed leaf count, array lengths) are checked now, in O(grid). The
+// content scans run once on first use, via EnsureValid: the components' own
+// deferred Validates plus the cross-component invariants queries lean on —
+// every centroid in the ordering's range, the leaf map a bijection between
+// covered graphs and leaves, and the embedding table matching the database
+// graph for graph (record count and per-record star count). Sessions and
+// Insert call EnsureValid themselves, so a part whose content never
 // validated cannot be navigated; this is what keeps a mapped open's cost
-// independent of index size.
+// independent of index size. The components are retained, not copied; grid
+// is copied.
 func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
@@ -241,7 +218,7 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 }
 
 // validateViews is the deferred content scan of a view-backed part: the
-// component Validates plus the cross-component loops PartFromViews
+// component Validates plus the cross-component loops PartFromViewsDeferred
 // documents. Runs once, via EnsureValid.
 func (ix *Index) validateViews() error {
 	if err := ix.vo.Validate(); err != nil {
@@ -318,59 +295,40 @@ func (ix *Index) Insert(id graph.ID) error {
 	if err := ix.vo.Insert(id, ix.m); err != nil {
 		return err
 	}
-	ix.tree.Insert(id, ix.m)
-	ix.embs = append(ix.embs, ged.NewEmbedding(ix.db.Graph(id)))
-	// Rebuild the leaf map: inserting into a singleton tree restructures
-	// node indexes, so a full O(nodes) rebuild is the safe (and still
-	// cheap) choice. The flat form queries navigate is re-derived last, so
-	// it always reflects the mutated tree.
-	ix.leafOf = append(ix.leafOf, 0)
-	for _, n := range ix.tree.Nodes() {
-		if n.Leaf {
-			ix.leafOf[n.Centroid-ix.base] = int32(n.Idx)
-		}
+	// The new leaf is the tree's last node. Growing a single-leaf tree also
+	// moves the old leaf — the part's only graph, base — under a new root,
+	// to node 1.
+	wasLeaf := ix.flat.Leaf(0)
+	ix.flat.Insert(id, ix.m)
+	if wasLeaf {
+		ix.leafOf[0] = 1
 	}
-	ix.flat = ix.tree.Flatten()
+	ix.leafOf = append(ix.leafOf, int32(ix.flat.Len()-1))
+	ix.embs = append(ix.embs, ged.NewEmbedding(ix.db.Graph(id)))
 	return nil
 }
 
-// thaw moves a view-backed index fully onto the heap so it can be mutated:
-// the pointer tree is rebuilt from the flat form, the leaf map is copied out
-// of the mapping (its elements are overwritten in place on insert), and the
-// encoded embedding table is decoded into the eager slice. Built indexes are
-// already heap-resident, so thaw is a no-op for them. Vantage rows need no
-// thaw: views are handed out with cap == len, so the ordering's sorted
+// thaw moves a view-backed index onto the heap so it can be mutated, once:
+// the flat tree and the leaf map are copied off the mapping (Insert writes
+// their elements in place), and the encoded embedding table is decoded into
+// the eager slice. Built indexes are already heap-resident, and a thawed
+// index has no table left, so thaw is a no-op for both. Vantage rows need
+// no thaw: views are handed out with cap == len, so the ordering's sorted
 // insertions reallocate on first append.
 func (ix *Index) thaw() {
-	if ix.tree == nil {
-		ix.tree = ix.flat.Rebuild()
+	if ix.embTab == nil {
+		return
 	}
-	if ix.embTab != nil {
-		if ix.embs == nil {
-			embs := make([]*ged.Embedding, ix.embTab.Len())
-			for i := range embs {
-				embs[i] = ix.embTab.At(i)
-			}
-			ix.embs = embs
-		}
-		ix.embTab = nil
+	embs := make([]*ged.Embedding, ix.embTab.Len())
+	for i := range embs {
+		embs[i] = ix.embTab.At(i)
 	}
+	ix.embs, ix.embTab = embs, nil
+	ix.flat = ix.flat.Clone()
 	ix.leafOf = append([]int32(nil), ix.leafOf...)
 }
 
-// Tree exposes the underlying NB-Tree in pointer form, materializing it from
-// the flat representation if the index was opened over a mapping. Queries
-// never call this — they navigate Flat — so view-backed indexes pay the
-// rebuild only when something genuinely needs pointer nodes (inspection,
-// tests). Not safe concurrently with itself or with Insert.
-func (ix *Index) Tree() *nbtree.Tree {
-	if ix.tree == nil {
-		ix.tree = ix.flat.Rebuild()
-	}
-	return ix.tree
-}
-
-// Flat exposes the array form of the NB-Tree every query navigates.
+// Flat exposes the NB-Tree every query navigates.
 func (ix *Index) Flat() *nbtree.Flat { return ix.flat }
 
 // VO exposes the vantage orderings (read-only).

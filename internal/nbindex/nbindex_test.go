@@ -399,7 +399,7 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	grid := []float64{2, 8}
 	set := buildSet(t, db, m, grid, 19)
 	ix := set.Part(0)
-	if ix.Tree() == nil || ix.VO() == nil {
+	if ix.Flat() == nil || ix.VO() == nil {
 		t.Fatal("nil components")
 	}
 	if !reflect.DeepEqual(ix.Grid(), grid) {

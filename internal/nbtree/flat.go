@@ -4,15 +4,18 @@ import (
 	"fmt"
 
 	"graphrep/internal/graph"
+	"graphrep/internal/metric"
 )
 
-// Flat is the NB-Tree as parallel arrays indexed by node index — the
-// representation the v4 index format stores and the query path navigates.
-// First-child/next-sibling links replace child pointer slices; both links
+// Flat is the NB-Tree as parallel arrays indexed by node index — its one
+// form, which the build writes, Insert grows, the v4 index format stores and
+// the query path navigates. First-child/next-sibling links chain each
+// node's children in ascending index order; both links
 // point strictly forward (children always have larger indices than their
 // parent, for preorder-built and insert-appended trees alike), so every walk
 // terminates. A Flat built over mapped sections serves queries directly from
-// the mapping; one built by Flatten aliases nothing.
+// the mapping; one built by BuildSubsetContext or copied by Clone aliases
+// nothing, and only such a heap-resident tree may be grown by Insert.
 //
 // All slices have identical length. Leaves[i] is 1 for single-graph leaves,
 // 0 otherwise; FirstChild/NextSibling/Parents use -1 for "none".
@@ -28,83 +31,14 @@ type Flat struct {
 	stats       BuildStats
 }
 
-// Flatten converts the pointer tree into its array form. The result passes
-// NewFlat validation and shares no memory with the tree.
-func (t *Tree) Flatten() *Flat {
-	n := len(t.nodes)
-	f := &Flat{
-		Centroids:   make([]graph.ID, n),
-		Parents:     make([]int32, n),
-		FirstChild:  make([]int32, n),
-		NextSibling: make([]int32, n),
-		Sizes:       make([]int32, n),
-		Leaves:      make([]byte, n),
-		Radii:       make([]float64, n),
-		Diameters:   make([]float64, n),
-		stats:       t.stats,
-	}
-	// Links default to -1 up front: parents have smaller indices than their
-	// children, so setting the default inside the main loop would clobber
-	// sibling links the parent's iteration already wrote.
-	for i := range f.FirstChild {
-		f.FirstChild[i] = -1
-		f.NextSibling[i] = -1
-	}
-	for i, nd := range t.nodes {
-		f.Centroids[i] = nd.Centroid
-		f.Sizes[i] = int32(nd.Size)
-		f.Radii[i] = nd.Radius
-		f.Diameters[i] = nd.Diameter
-		if nd.Leaf {
-			f.Leaves[i] = 1
-		}
-		if nd.Parent != nil {
-			f.Parents[i] = int32(nd.Parent.Idx)
-		} else {
-			f.Parents[i] = -1
-		}
-		if len(nd.Children) > 0 {
-			f.FirstChild[i] = int32(nd.Children[0].Idx)
-			for j := 0; j+1 < len(nd.Children); j++ {
-				f.NextSibling[nd.Children[j].Idx] = int32(nd.Children[j+1].Idx)
-			}
-		}
-	}
-	return f
-}
-
-// NewFlat assembles a Flat from its component arrays (typically zero-copy
-// views over a v4 index section) after validating every structural invariant
-// a query walk relies on: equal lengths, a single root at index 0, parent
-// links that point strictly backward, child/sibling links that point strictly
-// forward to nodes with the right parent, every non-root node appearing in
-// exactly one child chain, leaf flags consistent with fan-out, and sizes that
-// sum bottom-up. Centroid range checks are the caller's job (the valid ID
-// range is not known here). stats.Nodes and stats.Leaves are recomputed, not
-// trusted. The arrays are retained, not copied.
-func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, radii, diameters []float64, stats BuildStats) (*Flat, error) {
-	leafCount := 0
-	for _, l := range leaves {
-		if l == 1 {
-			leafCount++
-		}
-	}
-	stats.Leaves = leafCount
-	f, err := NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves, radii, diameters, stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// NewFlatDeferred is NewFlat minus the O(n) structural walk: it checks only
-// the array lengths and the root's parent, records stats (whose Leaves field
-// is the caller's claim, e.g. from persisted metadata), and defers Validate
-// to the caller. The tree must not be navigated until Validate — which also
-// checks the claimed leaf count — has passed.
+// NewFlatDeferred assembles a Flat from its component arrays — typically
+// zero-copy views over a v4 index section. It checks only the array lengths
+// and the root's parent, records stats (Nodes is recomputed; Leaves is the
+// caller's claim, e.g. from persisted metadata), and defers the O(n)
+// structural walk to Validate, which also checks the claimed leaf count. The
+// tree must not be navigated until Validate has passed. Centroid range
+// checks are the caller's job (the valid ID range is not known here). The
+// arrays are retained, not copied.
 func NewFlatDeferred(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, radii, diameters []float64, stats BuildStats) (*Flat, error) {
 	n := len(centroids)
 	if n == 0 {
@@ -216,29 +150,166 @@ func (f *Flat) Bytes() int64 {
 	return n * (4 + 4 + 4 + 4 + 4 + 1 + 8 + 8)
 }
 
-// Rebuild reconstructs the pointer tree. Children are appended in ascending
-// node index, which reproduces the original child order for both
-// preorder-built trees and trees grown by Insert (appended leaves always get
-// the largest index). Used to thaw a mapped tree before mutation.
-func (f *Flat) Rebuild() *Tree {
-	n := f.Len()
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = &Node{
-			Idx:      i,
-			Centroid: f.Centroids[i],
-			Radius:   f.Radii[i],
-			Diameter: f.Diameters[i],
-			Size:     int(f.Sizes[i]),
-			Leaf:     f.Leaves[i] == 1,
+// Clone returns a copy of the tree that shares no memory with f — how a tree
+// opened over a read-only mapping moves onto the heap before Insert.
+func (f *Flat) Clone() *Flat {
+	return &Flat{
+		Centroids:   append([]graph.ID(nil), f.Centroids...),
+		Parents:     append([]int32(nil), f.Parents...),
+		FirstChild:  append([]int32(nil), f.FirstChild...),
+		NextSibling: append([]int32(nil), f.NextSibling...),
+		Sizes:       append([]int32(nil), f.Sizes...),
+		Leaves:      append([]byte(nil), f.Leaves...),
+		Radii:       append([]float64(nil), f.Radii...),
+		Diameters:   append([]float64(nil), f.Diameters...),
+		stats:       f.stats,
+	}
+}
+
+// add appends a node under parent (-1 for the root), after its sibling prev
+// (-1 when it is the first child), and returns the node's index. A node of
+// size 1 is a single-graph leaf. Callers append in the order they want the
+// child chain to read, so the build's preorder and Insert's end-of-chain
+// placement both fall out of it.
+func (f *Flat) add(parent, prev int32, centroid graph.ID, size int32, radius, diameter float64) int32 {
+	i := int32(len(f.Centroids))
+	leaf := byte(0)
+	if size == 1 {
+		leaf = 1
+	}
+	f.Centroids = append(f.Centroids, centroid)
+	f.Parents = append(f.Parents, parent)
+	f.FirstChild = append(f.FirstChild, -1)
+	f.NextSibling = append(f.NextSibling, -1)
+	f.Sizes = append(f.Sizes, size)
+	f.Leaves = append(f.Leaves, leaf)
+	f.Radii = append(f.Radii, radius)
+	f.Diameters = append(f.Diameters, diameter)
+	switch {
+	case prev != -1:
+		f.NextSibling[prev] = i
+	case parent != -1:
+		f.FirstChild[parent] = i
+	}
+	return i
+}
+
+// Insert adds a newly appended database graph to the tree: it descends to
+// the closest leaf-level cluster, appends a new leaf at the end of that
+// cluster's child chain, and maintains sound (possibly loosened) radius and
+// diameter upper bounds along the path. The new leaf always takes the
+// largest node index, so children keep ascending indices. A single-leaf tree
+// grows a root cluster over both graphs instead, laid out in preorder: the
+// root at 0, the old leaf at 1, the new one at 2. Fan-out may temporarily
+// exceed the build-time branching factor; rebuild periodically if insert
+// volume is high. The arrays must be heap-resident (see Clone). Not safe
+// concurrently with reads.
+func (f *Flat) Insert(id graph.ID, m metric.Metric) {
+	if f.Leaf(0) {
+		old := f.Centroids[0]
+		d := m.Distance(old, id)
+		f.Leaves[0], f.Sizes[0], f.Radii[0], f.Diameters[0] = 0, 2, d, d
+		oldLeaf := f.add(0, -1, old, 1, 0, 0)
+		f.add(0, oldLeaf, id, 1, 0, 0)
+		f.stats.Nodes = f.Len()
+		f.stats.Leaves++
+		return
+	}
+	n := int32(0)
+	for {
+		d := m.Distance(f.Centroids[n], id)
+		f.stats.ExactDistances++
+		// Diameter first: new pairs are bounded by d + old radius.
+		if ub := d + f.Radii[n]; ub > f.Diameters[n] {
+			f.Diameters[n] = ub
+		}
+		if d > f.Radii[n] {
+			f.Radii[n] = d
+		}
+		f.Sizes[n]++
+		// Stop at a node whose children are leaves; otherwise descend into
+		// the child cluster with the closest centroid (first wins ties).
+		best, last, bestD := int32(-1), int32(-1), 0.0
+		for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
+			last = c
+			if !f.Leaf(c) {
+				dc := m.Distance(f.Centroids[c], id)
+				f.stats.ExactDistances++
+				if best == -1 || dc < bestD {
+					best, bestD = c, dc
+				}
+			}
+		}
+		if best == -1 {
+			f.add(n, last, id, 1, 0, 0)
+			f.stats.Nodes++
+			f.stats.Leaves++
+			return
+		}
+		n = best
+	}
+}
+
+// Graphs returns the graphs in node i's subtree, in child-chain order.
+func (f *Flat) Graphs(i int32) []graph.ID {
+	out := make([]graph.ID, 0, f.Sizes[i])
+	var visit func(n int32)
+	visit = func(n int32) {
+		if f.Leaf(n) {
+			out = append(out, f.Centroids[n])
+			return
+		}
+		for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
+			visit(c)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if p := f.Parents[i]; p != -1 {
-			parent := nodes[p]
-			nodes[i].Parent = parent
-			parent.Children = append(parent.Children, nodes[i])
+	visit(i)
+	return out
+}
+
+// ValidateMetric checks the tree's metric invariants under m on top of the
+// structural ones Validate checks: every graph of db appears exactly once;
+// leaves carry zero radius and diameter; every member of a cluster lies
+// within Radius of the centroid; Diameter bounds every pairwise member
+// distance. Intended for tests; cost is O(n²) distances in the worst case,
+// so call it on small trees.
+func (f *Flat) ValidateMetric(db *graph.Database, m metric.Metric) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	seen := make(map[graph.ID]int)
+	for _, id := range f.Graphs(0) {
+		seen[id]++
+	}
+	if len(seen) != db.Len() {
+		return fmt.Errorf("nbtree: tree covers %d graphs, database has %d", len(seen), db.Len())
+	}
+	for id, c := range seen {
+		if c != 1 {
+			return fmt.Errorf("nbtree: graph %d appears %d times", id, c)
 		}
 	}
-	return &Tree{root: nodes[0], nodes: nodes, stats: f.stats}
+	for i := int32(0); i < int32(f.Len()); i++ {
+		if f.Leaf(i) {
+			if f.Radii[i] != 0 || f.Diameters[i] != 0 {
+				return fmt.Errorf("nbtree: malformed leaf %d", i)
+			}
+			continue
+		}
+		members := f.Graphs(i)
+		for _, id := range members {
+			if d := m.Distance(f.Centroids[i], id); d > f.Radii[i]+1e-9 {
+				return fmt.Errorf("nbtree: node %d: member %d at %v exceeds radius %v", i, id, d, f.Radii[i])
+			}
+		}
+		for a := 0; a < len(members); a++ {
+			for b := a + 1; b < len(members); b++ {
+				if d := m.Distance(members[a], members[b]); d > f.Diameters[i]+1e-9 {
+					return fmt.Errorf("nbtree: node %d: pair (%d,%d) at %v exceeds diameter %v",
+						i, members[a], members[b], d, f.Diameters[i])
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -1,115 +1,98 @@
 package nbtree
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"graphrep/internal/graph"
+	"graphrep/internal/metric"
 )
 
-func buildTestTree(t *testing.T, n int, branching int) (*Tree, func() error) {
+func buildTestTree(t *testing.T, n int, branching int) *Flat {
 	t.Helper()
 	db, m := randDB(t, n, 11)
-	tree, err := Build(db, m, Options{Branching: branching}, rand.New(rand.NewSource(12)))
+	f, err := build(db, m, db.Len(), Options{Branching: branching}, 12)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return tree, func() error { return tree.Validate(db, m) }
+	return f
 }
 
-func treesEqual(t *testing.T, a, b *Tree) {
-	t.Helper()
-	if len(a.Nodes()) != len(b.Nodes()) {
-		t.Fatalf("node counts differ: %d vs %d", len(a.Nodes()), len(b.Nodes()))
-	}
-	for i := range a.Nodes() {
-		na, nb := a.Nodes()[i], b.Nodes()[i]
-		if na.Centroid != nb.Centroid || na.Radius != nb.Radius || na.Diameter != nb.Diameter ||
-			na.Size != nb.Size || na.Leaf != nb.Leaf || len(na.Children) != len(nb.Children) {
-			t.Fatalf("node %d differs: %+v vs %+v", i, na, nb)
-		}
-		for j := range na.Children {
-			if na.Children[j].Idx != nb.Children[j].Idx {
-				t.Fatalf("node %d child %d: idx %d vs %d", i, j, na.Children[j].Idx, nb.Children[j].Idx)
-			}
-		}
-		pa, pb := -1, -1
-		if na.Parent != nil {
-			pa = na.Parent.Idx
-		}
-		if nb.Parent != nil {
-			pb = nb.Parent.Idx
-		}
-		if pa != pb {
-			t.Fatalf("node %d parent: %d vs %d", i, pa, pb)
-		}
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
-	}
-}
-
-func TestFlattenRebuildRoundTrip(t *testing.T) {
-	tree, _ := buildTestTree(t, 60, 4)
-	flat := tree.Flatten()
-	if flat.Len() != len(tree.Nodes()) {
-		t.Fatalf("flat has %d nodes, tree has %d", flat.Len(), len(tree.Nodes()))
-	}
-	if flat.Stats() != tree.Stats() {
-		t.Fatalf("stats: %+v vs %+v", flat.Stats(), tree.Stats())
-	}
-	if flat.Bytes() <= 0 {
-		t.Error("Bytes <= 0")
-	}
-	treesEqual(t, tree, flat.Rebuild())
-}
-
-func TestFlattenPassesNewFlat(t *testing.T) {
-	tree, _ := buildTestTree(t, 45, 3)
-	f := tree.Flatten()
-	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats)
+// reassemble runs a tree's arrays through the deferred constructor and the
+// structural walk, as a mapped open does.
+func reassemble(f *Flat, stats BuildStats) (*Flat, error) {
+	g, err := NewFlatDeferred(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, stats)
 	if err != nil {
-		t.Fatalf("NewFlat rejected Flatten output: %v", err)
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func TestBuildPassesValidate(t *testing.T) {
+	f := buildTestTree(t, 45, 3)
+	g, err := reassemble(f, f.stats)
+	if err != nil {
+		t.Fatalf("Validate rejected a built tree: %v", err)
 	}
 	if !reflect.DeepEqual(f, g) {
-		t.Fatal("NewFlat result differs from Flatten output")
+		t.Fatal("reassembled tree differs from the built one")
+	}
+	if !reflect.DeepEqual(f, f.Clone()) {
+		t.Fatal("Clone differs from its source")
 	}
 }
 
-func TestFlattenAfterInsert(t *testing.T) {
-	db, m := randDB(t, 50, 21)
-	tree, err := Build(db, m, Options{Branching: 4}, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+// Insert grows a built tree graph by graph: every step keeps the structural
+// and metric invariants, appends the new leaf as the last node, and counts
+// exactly the distances it computed.
+func TestInsertKeepsFlatValid(t *testing.T) {
+	db, m := randDB(t, 60, 21)
+	for _, prefix := range []int{1, 40} {
+		f, err := build(db, m, prefix, Options{Branching: 4}, 22)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		for id := prefix; id < db.Len(); id++ {
+			counter := metric.NewCounter(m)
+			before := f.Stats()
+			f.Insert(graph.ID(id), counter)
+			last := int32(f.Len() - 1)
+			if !f.Leaf(last) || f.Centroids[last] != graph.ID(id) {
+				t.Fatalf("prefix %d: graph %d is not the last node", prefix, id)
+			}
+			if _, err := reassemble(f, f.stats); err != nil {
+				t.Fatalf("prefix %d: Validate rejected the tree after inserting %d: %v", prefix, id, err)
+			}
+			st := f.Stats()
+			if st.Nodes != f.Len() || st.Leaves != before.Leaves+1 {
+				t.Fatalf("prefix %d: stats after inserting %d: %+v (before %+v)", prefix, id, st, before)
+			}
+			if id == 1 {
+				// The single-leaf root grew a cluster: root, old leaf, new leaf.
+				d := m.Distance(0, 1)
+				if f.Len() != 3 || f.Leaf(0) || f.Centroids[0] != 0 || f.Centroids[1] != 0 ||
+					f.NextSibling[1] != 2 || f.Radii[0] != d || f.Diameters[0] != d {
+					t.Fatalf("single-leaf insert laid out %+v", f)
+				}
+				continue
+			}
+			if got := st.ExactDistances - before.ExactDistances; got != counter.Count() {
+				t.Fatalf("prefix %d: inserting %d counted %d distances, computed %d", prefix, id, got, counter.Count())
+			}
+		}
+		if err := f.ValidateMetric(db, m); err != nil {
+			t.Fatalf("prefix %d: %v", prefix, err)
+		}
 	}
-	// Simulate appended graphs: Insert places new leaves at the end of the
-	// node slice (non-preorder), which the flat invariants must still accept.
-	for id := 0; id < db.Len(); id += 7 {
-		tree.Insert(graph.ID(id%db.Len()), m) // duplicate IDs are fine for structure checks
-	}
-	f := tree.Flatten()
-	if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats); err != nil {
-		t.Fatalf("NewFlat rejected post-insert tree: %v", err)
-	}
-	treesEqual(t, tree, f.Rebuild())
 }
 
 func TestNewFlatRejectsCorruption(t *testing.T) {
-	tree, _ := buildTestTree(t, 30, 3)
-	base := tree.Flatten()
+	base := buildTestTree(t, 30, 3)
 	mutate := func(fn func(*Flat)) *Flat {
-		f := &Flat{
-			Centroids:   append([]graph.ID(nil), base.Centroids...),
-			Parents:     append([]int32(nil), base.Parents...),
-			FirstChild:  append([]int32(nil), base.FirstChild...),
-			NextSibling: append([]int32(nil), base.NextSibling...),
-			Sizes:       append([]int32(nil), base.Sizes...),
-			Leaves:      append([]byte(nil), base.Leaves...),
-			Radii:       append([]float64(nil), base.Radii...),
-			Diameters:   append([]float64(nil), base.Diameters...),
-			stats:       base.stats,
-		}
+		f := base.Clone()
 		fn(f)
 		return f
 	}
@@ -136,23 +119,27 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 		"empty":           {Centroids: nil},
 	}
 	for name, f := range cases {
-		if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats); err == nil {
-			t.Errorf("%s: NewFlat accepted corrupt tree", name)
+		if _, err := reassemble(f, f.stats); err == nil {
+			t.Errorf("%s: NewFlatDeferred+Validate accepted corrupt tree", name)
 		}
 	}
 }
 
+// The deferred constructor recomputes the node count and Validate holds the
+// claimed leaf count to the actual flags.
 func TestNewFlatRecomputesStats(t *testing.T) {
-	tree, _ := buildTestTree(t, 25, 3)
-	f := tree.Flatten()
+	f := buildTestTree(t, 25, 3)
 	lied := f.stats
 	lied.Nodes = 1
-	lied.Leaves = 99
-	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, lied)
+	g, err := reassemble(f, lied)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Stats().Nodes != f.Len() || g.Stats().Leaves != tree.Stats().Leaves {
-		t.Fatalf("stats not recomputed: %+v", g.Stats())
+	if g.Stats() != f.Stats() {
+		t.Fatalf("stats not recomputed: %+v, want %+v", g.Stats(), f.Stats())
+	}
+	lied.Leaves = 99
+	if _, err := reassemble(f, lied); err == nil {
+		t.Fatal("Validate accepted a false leaf count")
 	}
 }

@@ -4,7 +4,9 @@
 // assigned to its closest pivot, and the process recurses until clusters
 // shrink below b. Leaves are single graphs; every non-leaf node stores the
 // centroid, radius, and diameter of its cluster, the quantities Theorems 6–8
-// need for batch updates of representative power.
+// need for batch updates of representative power. The tree has one form,
+// the parallel arrays of Flat, whether it was just built, grown by Insert or
+// opened over a mapped index.
 //
 // Construction can be accelerated with vantage orderings: the vantage lower
 // bound discards pivot/graph pairs that cannot improve the current closest
@@ -38,30 +40,6 @@ type Options struct {
 	Workers int
 }
 
-// Node is one cluster in the NB-Tree. Leaves represent single graphs
-// (Radius = Diameter = 0, Centroid = the graph itself).
-type Node struct {
-	// Idx is the node's position in Tree.Nodes(), assigned in DFS preorder.
-	// Query-time state (π̂-vectors) is kept in arrays indexed by Idx.
-	Idx      int
-	Centroid graph.ID
-	Radius   float64
-	Diameter float64
-	Children []*Node
-	Parent   *Node
-	// Size is the number of graphs in the subtree.
-	Size int
-	// Leaf marks single-graph nodes; for those Centroid is the graph.
-	Leaf bool
-}
-
-// Tree is an immutable NB-Tree over a database.
-type Tree struct {
-	root  *Node
-	nodes []*Node
-	stats BuildStats
-}
-
 // BuildStats reports how much work construction did.
 type BuildStats struct {
 	// ExactDistances is the number of exact distance computations issued.
@@ -73,113 +51,31 @@ type BuildStats struct {
 	Nodes, Leaves int
 }
 
-// Build clusters db into an NB-Tree with no cancellation. See BuildContext.
-func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Tree, error) {
-	return BuildContext(context.Background(), db, m, opt, rng)
-}
-
-// BuildContext clusters db into an NB-Tree. rng drives the random first
+// BuildSubsetContext clusters a subset of db's graphs — a shard's contiguous
+// ID range, say — into an NB-Tree, written straight into the Flat arrays in
+// DFS preorder (a node precedes its subtree, children in pivot order).
+// opt.VO only needs to cover the subset's IDs. rng drives the random first
 // pivot at every level; pass a seeded source for reproducible trees.
 // Cancellation is checked at every cluster boundary and between distance
 // chunks inside a partition; a cancelled build returns ctx.Err() with no
-// partial tree.
-func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Tree, error) {
-	if db.Len() == 0 {
-		return nil, fmt.Errorf("nbtree: empty database")
-	}
-	ids := make([]graph.ID, db.Len())
-	for i := range ids {
-		ids[i] = graph.ID(i)
-	}
-	return BuildSubsetContext(ctx, db, m, ids, opt, rng)
-}
-
-// BuildSubsetContext clusters an arbitrary subset of db's graphs into an
-// NB-Tree — a shard's contiguous ID range, say. The clustering machinery is
-// identical to BuildContext (which is the full-subset special case); opt.VO
-// only needs to cover the subset's IDs. The ids slice is not retained.
-func BuildSubsetContext(ctx context.Context, db *graph.Database, m metric.Metric, ids []graph.ID, opt Options, rng *rand.Rand) (*Tree, error) {
+// partial tree. The ids slice is not retained.
+func BuildSubsetContext(ctx context.Context, db *graph.Database, m metric.Metric, ids []graph.ID, opt Options, rng *rand.Rand) (*Flat, error) {
 	if opt.Branching < 2 {
 		return nil, fmt.Errorf("nbtree: branching factor %d < 2", opt.Branching)
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("nbtree: empty subset")
 	}
-	b := &builder{ctx: ctx, db: db, m: m, opt: opt, rng: rng}
-	root, err := b.build(append([]graph.ID(nil), ids...))
-	if err != nil {
+	b := &builder{ctx: ctx, db: db, m: m, opt: opt, rng: rng, f: &Flat{}}
+	if _, err := b.build(append([]graph.ID(nil), ids...), -1, -1); err != nil {
 		return nil, err
 	}
-	t := &Tree{root: root, stats: b.snapshotStats()}
-	t.index(root, nil)
-	t.stats.Nodes = len(t.nodes)
-	for _, n := range t.nodes {
-		if n.Leaf {
-			t.stats.Leaves++
-		}
+	f := b.f
+	f.stats = BuildStats{ExactDistances: b.exact.Load(), PrunedDistances: b.pruned.Load(), Nodes: f.Len()}
+	for _, l := range f.Leaves {
+		f.stats.Leaves += int(l)
 	}
-	return t, nil
-}
-
-// Root returns the root cluster (the whole database).
-func (t *Tree) Root() *Node { return t.root }
-
-// Nodes returns all nodes in DFS preorder; Node.Idx indexes this slice.
-func (t *Tree) Nodes() []*Node { return t.nodes }
-
-// Stats returns construction statistics.
-func (t *Tree) Stats() BuildStats { return t.stats }
-
-// Height returns the height of the tree (a single leaf has height 0).
-func (t *Tree) Height() int { return height(t.root) }
-
-func height(n *Node) int {
-	h := 0
-	for _, c := range n.Children {
-		if ch := height(c) + 1; ch > h {
-			h = ch
-		}
-	}
-	return h
-}
-
-// Bytes approximates the memory footprint of the tree structure (the
-// NB-Tree component of the paper's storage cost analysis).
-func (t *Tree) Bytes() int64 {
-	// Node: idx + centroid + radius + diameter + size + leaf + child/parent
-	// pointers.
-	var bytes int64
-	for _, n := range t.nodes {
-		bytes += 64 + int64(len(n.Children))*8
-	}
-	return bytes
-}
-
-// VisitGraphs calls fn for every graph in n's subtree.
-func (n *Node) VisitGraphs(fn func(graph.ID)) {
-	if n.Leaf {
-		fn(n.Centroid)
-		return
-	}
-	for _, c := range n.Children {
-		c.VisitGraphs(fn)
-	}
-}
-
-// Graphs returns the graphs in n's subtree.
-func (n *Node) Graphs() []graph.ID {
-	out := make([]graph.ID, 0, n.Size)
-	n.VisitGraphs(func(id graph.ID) { out = append(out, id) })
-	return out
-}
-
-func (t *Tree) index(n *Node, parent *Node) {
-	n.Idx = len(t.nodes)
-	n.Parent = parent
-	t.nodes = append(t.nodes, n)
-	for _, c := range n.Children {
-		t.index(c, n)
-	}
+	return f, nil
 }
 
 type builder struct {
@@ -188,14 +84,12 @@ type builder struct {
 	m   metric.Metric
 	opt Options
 	rng *rand.Rand
+	// f receives the nodes in preorder as the recursion emits them.
+	f *Flat
 	// exact and pruned are atomic because partition's distance fills run on
 	// a worker pool; the pruning decisions themselves depend only on state
 	// each index owns, so both totals are deterministic for any worker count.
 	exact, pruned atomic.Int64
-}
-
-func (b *builder) snapshotStats() BuildStats {
-	return BuildStats{ExactDistances: b.exact.Load(), PrunedDistances: b.pruned.Load()}
 }
 
 // dist issues an exact distance computation and counts it.
@@ -209,19 +103,21 @@ func (b *builder) dist(a, c graph.ID) float64 {
 // overhead.
 const partitionChunk = 32
 
-// build clusters ids into a node. len(ids) ≥ 1.
-func (b *builder) build(ids []graph.ID) (*Node, error) {
+// build clusters ids into a node appended under parent after sibling prev
+// (-1 for none) and returns its index. len(ids) ≥ 1. The node is appended
+// before its subtree is built, which is what makes the layout preorder.
+func (b *builder) build(ids []graph.ID, parent, prev int32) (int32, error) {
 	if err := b.ctx.Err(); err != nil {
-		return nil, err
+		return -1, err
 	}
 	if len(ids) == 1 {
-		return &Node{Centroid: ids[0], Size: 1, Leaf: true}, nil
+		return b.f.add(parent, prev, ids[0], 1, 0, 0), nil
 	}
 	pivots, assign, err := b.partition(ids)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
-	node := &Node{Size: len(ids), Centroid: pivots[0]}
+	centroid := pivots[0]
 	// Radius: the running maximum of (upper bounds on) member distances to
 	// the centroid; Diameter: sum of the two largest (§6.4). Both are sound
 	// upper bounds even when the vantage pruning skips exact computations.
@@ -230,21 +126,22 @@ func (b *builder) build(ids []graph.ID) (*Node, error) {
 	// radius/diameter values, so reordering it would change the tree bytes.
 	var largest, second float64
 	for _, id := range ids {
-		dc := b.centroidDistance(node.Centroid, id, largest)
+		dc := b.centroidDistance(centroid, id, largest)
 		if dc > largest {
 			largest, second = dc, largest
 		} else if dc > second {
 			second = dc
 		}
 	}
-	node.Radius = largest
-	node.Diameter = largest + second
+	f := b.f
+	node := f.add(parent, prev, centroid, int32(len(ids)), largest, largest+second)
+	child := int32(-1)
 	if len(pivots) == 1 {
 		// Degenerate cluster: every member coincides with the pivot
 		// (distance 0). Recursing would not shrink the cluster, so emit the
 		// members directly as leaves.
 		for _, id := range ids {
-			node.Children = append(node.Children, &Node{Centroid: id, Size: 1, Leaf: true})
+			child = f.add(node, child, id, 1, 0, 0)
 		}
 		return node, nil
 	}
@@ -258,11 +155,9 @@ func (b *builder) build(ids []graph.ID) (*Node, error) {
 		if len(sub) == 0 {
 			continue
 		}
-		child, err := b.build(sub)
-		if err != nil {
-			return nil, err
+		if child, err = b.build(sub, node, child); err != nil {
+			return -1, err
 		}
-		node.Children = append(node.Children, child)
 	}
 	return node, nil
 }
@@ -348,121 +243,4 @@ func (b *builder) partition(ids []graph.ID) (pivots []graph.ID, assign []int, er
 		}
 	}
 	return pivots, assign, nil
-}
-
-// Insert adds a newly appended database graph to the tree: it descends to
-// the closest leaf-level cluster, appends a new leaf there, and maintains
-// sound (possibly loosened) radius and diameter upper bounds along the
-// path. Fan-out may temporarily exceed the build-time branching factor;
-// rebuild periodically if insert volume is high. Not safe concurrently with
-// reads.
-func (t *Tree) Insert(id graph.ID, m metric.Metric) {
-	n := t.root
-	if n.Leaf {
-		// Single-graph tree: grow a root cluster over both.
-		old := n
-		d := m.Distance(old.Centroid, id)
-		newRoot := &Node{
-			Centroid: old.Centroid,
-			Radius:   d,
-			Diameter: d,
-			Size:     2,
-		}
-		oldLeaf := &Node{Centroid: old.Centroid, Size: 1, Leaf: true, Parent: newRoot}
-		newLeaf := &Node{Centroid: id, Size: 1, Leaf: true, Parent: newRoot}
-		newRoot.Children = []*Node{oldLeaf, newLeaf}
-		t.root = newRoot
-		t.nodes = nil
-		t.index(newRoot, nil)
-		t.stats.Nodes = len(t.nodes)
-		t.stats.Leaves++
-		return
-	}
-	for {
-		d := m.Distance(n.Centroid, id)
-		t.stats.ExactDistances++
-		// Diameter first: new pairs are bounded by d + old radius.
-		if ub := d + n.Radius; ub > n.Diameter {
-			n.Diameter = ub
-		}
-		if d > n.Radius {
-			n.Radius = d
-		}
-		n.Size++
-		// Stop at a node whose children are leaves; otherwise descend into
-		// the child cluster with the closest centroid.
-		allLeaves := true
-		var best *Node
-		bestD := 0.0
-		for _, c := range n.Children {
-			if !c.Leaf {
-				allLeaves = false
-				dc := m.Distance(c.Centroid, id)
-				t.stats.ExactDistances++
-				if best == nil || dc < bestD {
-					best, bestD = c, dc
-				}
-			}
-		}
-		if allLeaves || best == nil {
-			leaf := &Node{Idx: len(t.nodes), Centroid: id, Size: 1, Leaf: true, Parent: n}
-			n.Children = append(n.Children, leaf)
-			t.nodes = append(t.nodes, leaf)
-			t.stats.Nodes++
-			t.stats.Leaves++
-			return
-		}
-		n = best
-	}
-}
-
-// Validate checks the structural invariants of the tree under metric m:
-// every graph appears exactly once; every member of a cluster lies within
-// Radius of the centroid; Diameter bounds every pairwise member distance;
-// Size fields are consistent. Intended for tests; cost is O(n²) distances in
-// the worst case, so call it on small trees.
-func (t *Tree) Validate(db *graph.Database, m metric.Metric) error {
-	seen := make(map[graph.ID]int)
-	t.root.VisitGraphs(func(id graph.ID) { seen[id]++ })
-	if len(seen) != db.Len() {
-		return fmt.Errorf("nbtree: tree covers %d graphs, database has %d", len(seen), db.Len())
-	}
-	for id, c := range seen {
-		if c != 1 {
-			return fmt.Errorf("nbtree: graph %d appears %d times", id, c)
-		}
-	}
-	for _, n := range t.nodes {
-		if n.Leaf {
-			if n.Size != 1 || len(n.Children) != 0 || n.Radius != 0 || n.Diameter != 0 {
-				return fmt.Errorf("nbtree: malformed leaf %d", n.Idx)
-			}
-			continue
-		}
-		size := 0
-		for _, c := range n.Children {
-			size += c.Size
-			if c.Parent != n {
-				return fmt.Errorf("nbtree: node %d has wrong parent link", c.Idx)
-			}
-		}
-		if size != n.Size {
-			return fmt.Errorf("nbtree: node %d size %d != children sum %d", n.Idx, n.Size, size)
-		}
-		members := n.Graphs()
-		for _, id := range members {
-			if d := m.Distance(n.Centroid, id); d > n.Radius+1e-9 {
-				return fmt.Errorf("nbtree: node %d: member %d at %v exceeds radius %v", n.Idx, id, d, n.Radius)
-			}
-		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				if d := m.Distance(members[i], members[j]); d > n.Diameter+1e-9 {
-					return fmt.Errorf("nbtree: node %d: pair (%d,%d) at %v exceeds diameter %v",
-						n.Idx, members[i], members[j], d, n.Diameter)
-				}
-			}
-		}
-	}
-	return nil
 }

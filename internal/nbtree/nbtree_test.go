@@ -1,6 +1,7 @@
 package nbtree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,26 +42,35 @@ func randDB(t testing.TB, n int, seed int64) (*graph.Database, metric.Metric) {
 	return db, metric.NewCache(metric.Star(db))
 }
 
+// build clusters the first n graphs of db (all of them when n is db.Len()).
+func build(db *graph.Database, m metric.Metric, n int, opt Options, seed int64) (*Flat, error) {
+	ids := make([]graph.ID, n)
+	for i := range ids {
+		ids[i] = graph.ID(i)
+	}
+	return BuildSubsetContext(context.Background(), db, m, ids, opt, rand.New(rand.NewSource(seed)))
+}
+
 func TestBuildValidates(t *testing.T) {
 	db, m := randDB(t, 60, 1)
 	for _, b := range []int{2, 4, 8} {
-		tree, err := Build(db, m, Options{Branching: b}, rand.New(rand.NewSource(2)))
+		f, err := build(db, m, db.Len(), Options{Branching: b}, 2)
 		if err != nil {
 			t.Fatalf("Build(b=%d): %v", b, err)
 		}
-		if err := tree.Validate(db, m); err != nil {
+		if err := f.ValidateMetric(db, m); err != nil {
 			t.Fatalf("Validate(b=%d): %v", b, err)
 		}
-		if tree.Root().Size != db.Len() {
-			t.Errorf("root size = %d, want %d", tree.Root().Size, db.Len())
+		if int(f.Sizes[0]) != db.Len() {
+			t.Errorf("root size = %d, want %d", f.Sizes[0], db.Len())
 		}
-		if tree.Stats().Leaves != db.Len() {
-			t.Errorf("leaves = %d, want %d", tree.Stats().Leaves, db.Len())
+		if f.Stats().Leaves != db.Len() || f.Stats().Nodes != f.Len() {
+			t.Errorf("stats = %+v, want %d leaves of %d nodes", f.Stats(), db.Len(), f.Len())
 		}
-		if tree.Height() < 1 {
-			t.Errorf("height = %d", tree.Height())
+		if f.Leaf(0) {
+			t.Error("root of a 60-graph tree is a leaf")
 		}
-		if tree.Bytes() <= 0 {
+		if f.Bytes() <= 0 {
 			t.Error("Bytes <= 0")
 		}
 	}
@@ -68,28 +78,36 @@ func TestBuildValidates(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	db, m := randDB(t, 5, 3)
-	if _, err := Build(db, m, Options{Branching: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := build(db, m, db.Len(), Options{Branching: 1}, 1); err == nil {
 		t.Error("branching=1 accepted")
 	}
-	empty, _ := graph.NewDatabase(nil)
-	if _, err := Build(empty, m, Options{Branching: 2}, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("empty database accepted")
+	if _, err := build(db, m, 0, Options{Branching: 2}, 1); err == nil {
+		t.Error("empty subset accepted")
 	}
 }
 
-func TestNodeIdxMatchesNodesSlice(t *testing.T) {
+// The build lays nodes out in DFS preorder: walking the child chains from
+// the root visits the nodes in index order.
+func TestBuildIsPreorder(t *testing.T) {
 	db, m := randDB(t, 40, 4)
-	tree, err := Build(db, m, Options{Branching: 3}, rand.New(rand.NewSource(5)))
+	f, err := build(db, m, db.Len(), Options{Branching: 3}, 5)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	for i, n := range tree.Nodes() {
-		if n.Idx != i {
-			t.Fatalf("node at %d has Idx %d", i, n.Idx)
+	next := int32(0)
+	var walk func(n int32)
+	walk = func(n int32) {
+		if n != next {
+			t.Fatalf("preorder visits node %d at position %d", n, next)
+		}
+		next++
+		for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
+			walk(c)
 		}
 	}
-	if tree.Nodes()[0] != tree.Root() {
-		t.Error("root is not first node")
+	walk(0)
+	if int(next) != f.Len() {
+		t.Fatalf("preorder walk reached %d of %d nodes", next, f.Len())
 	}
 }
 
@@ -118,26 +136,26 @@ func TestDuplicateGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := metric.Star(db)
-	tree, err := Build(db, m, Options{Branching: 3}, rand.New(rand.NewSource(1)))
+	f, err := build(db, m, db.Len(), Options{Branching: 3}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db, m); err != nil {
+	if err := f.ValidateMetric(db, m); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.Root().Radius != 0 || tree.Root().Diameter != 0 {
-		t.Errorf("radius/diameter = %v/%v, want 0/0", tree.Root().Radius, tree.Root().Diameter)
+	if f.Radii[0] != 0 || f.Diameters[0] != 0 {
+		t.Errorf("radius/diameter = %v/%v, want 0/0", f.Radii[0], f.Diameters[0])
 	}
 }
 
 func TestSingletonDatabase(t *testing.T) {
 	db, m := randDB(t, 1, 6)
-	tree, err := Build(db, m, Options{Branching: 2}, rand.New(rand.NewSource(1)))
+	f, err := build(db, m, db.Len(), Options{Branching: 2}, 1)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if !tree.Root().Leaf || tree.Height() != 0 {
-		t.Errorf("singleton tree malformed: leaf=%v height=%d", tree.Root().Leaf, tree.Height())
+	if f.Len() != 1 || !f.Leaf(0) {
+		t.Errorf("singleton tree malformed: %d nodes, root leaf=%v", f.Len(), f.Leaf(0))
 	}
 }
 
@@ -153,14 +171,14 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 		t.Fatalf("vantage.Build: %v", err)
 	}
 	counter := metric.NewCounter(base)
-	tree, err := Build(db, counter, Options{Branching: 4, VO: vo}, rand.New(rand.NewSource(9)))
+	f, err := build(db, counter, db.Len(), Options{Branching: 4, VO: vo}, 9)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db, base); err != nil {
+	if err := f.ValidateMetric(db, base); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	st := tree.Stats()
+	st := f.Stats()
 	if st.PrunedDistances == 0 {
 		t.Error("vantage pruning never fired")
 	}
@@ -169,7 +187,7 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 	}
 	// Unaccelerated build must do strictly more exact work.
 	counter2 := metric.NewCounter(base)
-	if _, err := Build(db, counter2, Options{Branching: 4}, rand.New(rand.NewSource(9))); err != nil {
+	if _, err := build(db, counter2, db.Len(), Options{Branching: 4}, 9); err != nil {
 		t.Fatalf("Build plain: %v", err)
 	}
 	if counter.Count() >= counter2.Count() {
@@ -177,16 +195,15 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 	}
 }
 
-func TestVisitGraphsAndGraphs(t *testing.T) {
+func TestGraphsMatchSizes(t *testing.T) {
 	db, m := randDB(t, 30, 10)
-	tree, err := Build(db, m, Options{Branching: 3}, rand.New(rand.NewSource(11)))
+	f, err := build(db, m, db.Len(), Options{Branching: 3}, 11)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	for _, n := range tree.Nodes() {
-		g := n.Graphs()
-		if len(g) != n.Size {
-			t.Fatalf("node %d: Graphs len %d != Size %d", n.Idx, len(g), n.Size)
+	for i := int32(0); i < int32(f.Len()); i++ {
+		if g := f.Graphs(i); len(g) != int(f.Sizes[i]) {
+			t.Fatalf("node %d: Graphs len %d != Size %d", i, len(g), f.Sizes[i])
 		}
 	}
 }
@@ -196,7 +213,7 @@ func TestConstructionCostScalesAsBLogB(t *testing.T) {
 	// acceleration. Sanity-check the measured count is within a small factor.
 	db, m := randDB(t, 200, 12)
 	counter := metric.NewCounter(m)
-	_, err := Build(db, counter, Options{Branching: 4}, rand.New(rand.NewSource(13)))
+	_, err := build(db, counter, db.Len(), Options{Branching: 4}, 13)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

@@ -72,6 +72,11 @@ type Options struct {
 // answer; recorded so the error counter distinguishes it from timeouts.
 const statusClientClosedRequest = 499
 
+// maxBodyBytes bounds every JSON request body; a larger one is answered
+// with 413 before it is decoded. The largest legitimate body is an /insert
+// graph, and 4 MiB holds one of roughly a quarter million edges.
+const maxBodyBytes = 4 << 20
+
 // Server serves one engine. Sessions are cached per relevance spec so that
 // repeated queries (the interactive refinement pattern) hit the fast path.
 // Create at most one Server per engine: the HTTP metrics register on the
@@ -567,9 +572,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}

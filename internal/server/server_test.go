@@ -268,6 +268,57 @@ func TestInsertEndpoint(t *testing.T) {
 	}
 }
 
+// paddedPost posts body with pad bytes of JSON whitespace after its opening
+// brace: the same request, at any size.
+func paddedPost(t *testing.T, url string, body any, pad int) int {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append([]byte("{"), bytes.Repeat([]byte(" "), pad)...)
+	padded = append(padded, buf[1:]...)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// A request body past maxBodyBytes is refused with 413 before it is
+// decoded, on /query and on /insert alike; the same request padded to just
+// under the limit is served, so the size alone decides.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, db := testServer(t)
+	query := QueryRequest{Relevance: RelevanceSpec{Kind: "quartile"}, Theta: 10, K: 3}
+	insert := InsertRequest{
+		Labels:   []uint32{1, 2},
+		Edges:    [][3]int{{0, 1, 0}},
+		Features: make([]float64, db.FeatureDim()),
+	}
+	before := db.Len()
+	for _, c := range []struct {
+		path string
+		body any
+	}{{"/query", query}, {"/insert", insert}} {
+		if code := paddedPost(t, ts.URL+c.path, c.body, maxBodyBytes); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body answered %d, want 413", c.path, code)
+		}
+	}
+	if db.Len() != before {
+		t.Fatalf("oversized insert grew the database to %d graphs (was %d)", db.Len(), before)
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{{"/query", query}, {"/insert", insert}} {
+		if code := paddedPost(t, ts.URL+c.path, c.body, maxBodyBytes-1024); code != http.StatusOK {
+			t.Errorf("%s: body under the limit answered %d, want 200", c.path, code)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	// Generate some traffic first so the per-endpoint counters exist.

@@ -27,13 +27,27 @@ func (s *Set) NewSession(q core.Relevance) (*Session, error) {
 // vantage ordering with the graph's shared-VP coordinates. One session type
 // serves every shard count, including one.
 func (s *Set) NewSessionContext(ctx context.Context, q core.Relevance) (*Session, error) {
-	// A database opened from a GRDB001 container defers its content
-	// validation to first use; settle it before any session traverses graph
-	// structure. Repeat sessions hit the cached verdict.
-	if err := s.db.EnsureValid(); err != nil {
-		return nil, fmt.Errorf("shard: graph store: %w", err)
+	if err := s.EnsureValid(); err != nil {
+		return nil, err
 	}
 	return newSession(ctx, s, q)
+}
+
+// EnsureValid settles the deferred content validation of the graph store
+// (a database opened from a GRDB001 container) and of every part (loaded
+// from a mapped v4 container), each once; repeat calls return the cached
+// verdicts. Sessions call it before any traversal, and a server may call it
+// before serving, so corruption surfaces at startup.
+func (s *Set) EnsureValid() error {
+	if err := s.db.EnsureValid(); err != nil {
+		return fmt.Errorf("shard: graph store: %w", err)
+	}
+	for p, part := range s.parts {
+		if err := part.EnsureValid(); err != nil {
+			return fmt.Errorf("shard %d: %w", p, err)
+		}
+	}
+	return nil
 }
 
 // Session is the initialization phase for one relevance function (§7): the
@@ -57,15 +71,8 @@ type Session struct {
 	lastStats nbindex.QueryStats // guarded by statsMu
 }
 
+// newSession builds the session of a set whose EnsureValid has passed.
 func newSession(ctx context.Context, set *Set, q core.Relevance) (*Session, error) {
-	// Parts loaded from a mapped v4 container defer their content
-	// validation to first use; settle it for every shard before any
-	// navigation below. Repeat sessions hit the cached verdict.
-	for p, part := range set.parts {
-		if err := part.EnsureValid(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", p, err)
-		}
-	}
 	s := &Session{set: set, grid: set.grid}
 	s.rel = core.Relevant(set.db, q)
 	s.relPos = make([]int, set.db.Len())

@@ -156,6 +156,7 @@ func TestEngineTelemetryExposition(t *testing.T) {
 		"graphrep_nbindex_pruned_distances_count 1",
 		"graphrep_metric_prune_embedding_total",
 		"graphrep_metric_prune_rowmin_total",
+		"graphrep_metric_rowmin_solved_total",
 		"graphrep_metric_prune_greedy_total",
 		"graphrep_metric_bounded_exact_total",
 	} {
@@ -163,12 +164,21 @@ func TestEngineTelemetryExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", name, out)
 		}
 	}
+	// The greedy tier runs on every decision past the lower bounds, so its
+	// attempt count is the greedy plus bounded-exact totals and has no
+	// series of its own.
+	if strings.Contains(out, "graphrep_metric_greedy_tried_total") {
+		t.Error("exposition carries the derivable greedy attempt series")
+	}
 	// The bounded kernel must actually have pruned something on the query
 	// path: the per-query pruned counter and the cascade stage totals agree
 	// that work was avoided.
 	snap := engine.Telemetry().Snapshot()
 	if snap.Prune.Pruned() == 0 {
 		t.Error("bound cascade recorded no pruned decisions")
+	}
+	if p := snap.Prune; p.GreedyTried != p.Greedy+p.BoundedExact {
+		t.Errorf("greedy attempts %d, want greedy %d + bounded exact %d", p.GreedyTried, p.Greedy, p.BoundedExact)
 	}
 }
 
