@@ -40,6 +40,7 @@ type GraphLoadBenchResult struct {
 type GraphLoadBenchReport struct {
 	Dataset string                 `json:"dataset"`
 	Seed    int64                  `json:"seed"`
+	Env     environment            `json:"env"`
 	Results []GraphLoadBenchResult `json:"results"`
 }
 
@@ -60,7 +61,7 @@ func benchGraphLoad(w io.Writer, outPath string, sizes []int) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	report := GraphLoadBenchReport{Dataset: dataset, Seed: seed}
+	report := GraphLoadBenchReport{Dataset: dataset, Seed: seed, Env: readEnvironment()}
 	slow := false
 	for _, n := range sizes {
 		db, err := graphrep.GenerateDataset(dataset, n, seed)

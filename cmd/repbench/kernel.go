@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"graphrep"
@@ -17,7 +16,7 @@ import (
 // report compares wall time and completed Hungarian solves after the index
 // was built. Answers must be byte-identical across the two runs;
 // benchKernel fails loudly if they are not, since that would violate the
-// kernel's core contract (Within ⇔ Distance ≤ θ).
+// kernel's core contract (a bounded decision ⇔ Distance ≤ θ).
 //
 // benchKernel is also a regression gate: it returns an error — repbench exits
 // non-zero — when the bounded side is not strictly faster than the exact side
@@ -28,11 +27,8 @@ import (
 
 // KernelPrune is the bound-cascade breakdown of one side's run.
 type KernelPrune struct {
-	Embedding int64 `json:"embedding"`
-	RowMin    int64 `json:"rowMin"`
-	// RowMinSolved is the subset of RowMin that spent a hardening solve
-	// (shallow miss); see metric.PruneStats.
-	RowMinSolved int64 `json:"rowMinSolved"`
+	Embedding    int64 `json:"embedding"`
+	RowMin       int64 `json:"rowMin"`
 	Greedy       int64 `json:"greedy"`
 	BoundedExact int64 `json:"boundedExact"`
 }
@@ -69,10 +65,10 @@ type KernelBenchRun struct {
 
 // KernelBenchReport is the full -bench-kernel output.
 type KernelBenchReport struct {
-	Dataset string `json:"dataset"`
-	Seed    int64  `json:"seed"`
-	K       int    `json:"k"`
-	Workers int    `json:"workers"` // resolved GOMAXPROCS at run time
+	Dataset string      `json:"dataset"`
+	Seed    int64       `json:"seed"`
+	K       int         `json:"k"`
+	Env     environment `json:"env"`
 
 	Runs []KernelBenchRun `json:"runs"`
 }
@@ -99,7 +95,7 @@ func benchKernel(w io.Writer, outPath string, sizes []int) error {
 	)
 	report := KernelBenchReport{
 		Dataset: dataset, Seed: seed, K: k,
-		Workers: runtime.GOMAXPROCS(0),
+		Env: readEnvironment(),
 	}
 	var slow []int
 	for _, n := range sizes {
@@ -231,7 +227,6 @@ func runKernelSide(db *graphrep.Database, rel graphrep.Relevance, k int, opts gr
 	side.Prune = KernelPrune{
 		Embedding:    snap.Prune.Embedding,
 		RowMin:       snap.Prune.RowMin,
-		RowMinSolved: snap.Prune.RowMinSolved,
 		Greedy:       snap.Prune.Greedy,
 		BoundedExact: snap.Prune.BoundedExact,
 	}

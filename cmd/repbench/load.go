@@ -55,7 +55,7 @@ type LoadBenchReport struct {
 	Dataset string            `json:"dataset"`
 	Seed    int64             `json:"seed"`
 	Shards  int               `json:"shards"`
-	Workers int               `json:"workers"` // resolved GOMAXPROCS at run time
+	Env     environment       `json:"env"`
 	Results []LoadBenchResult `json:"results"`
 	// OpenRatio is the largest size's OpenNsPerOp over the smallest size's.
 	OpenRatio float64 `json:"open_ratio"`
@@ -82,7 +82,7 @@ func benchLoad(w io.Writer, outPath string, sizes []int) error {
 
 	report := LoadBenchReport{
 		Dataset: dataset, Seed: seed, Shards: shards,
-		Workers: runtime.GOMAXPROCS(0),
+		Env: readEnvironment(),
 	}
 	// Every size's database and index file exist before any timing, so all
 	// sizes are timed against the same live heap.

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"graphrep"
@@ -30,7 +29,7 @@ type ShardBenchReport struct {
 	Seed    int64              `json:"seed"`
 	K       int                `json:"k"`
 	Theta   float64            `json:"theta"`
-	Workers int                `json:"workers"` // resolved GOMAXPROCS at run time
+	Env     environment        `json:"env"`
 	Results []ShardBenchResult `json:"results"`
 }
 
@@ -56,7 +55,7 @@ func benchShards(w io.Writer, outPath string, n, only int) error {
 	}
 	report := ShardBenchReport{
 		Dataset: dataset, N: n, Seed: seed, K: k,
-		Workers: runtime.GOMAXPROCS(0),
+		Env: readEnvironment(),
 	}
 	rel := graphrep.FirstQuartileRelevance(db, nil)
 	for _, shards := range counts {

@@ -286,7 +286,7 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	m, counter, cache, stages, err := instrumentMetric(db, o.Metric)
+	m, counter, cache, star, err := instrumentMetric(db, o.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -340,8 +340,8 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	primeEmbeddings(set, stages)
-	tel, err := newEngineTelemetry(db, set, counter, cache, stages, gridTime, o.Workers)
+	primeEmbeddings(set, star)
+	tel, err := newEngineTelemetry(db, set, counter, cache, star, gridTime, o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -355,18 +355,17 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 // table instead — the metric decodes records lazily on first use, so opening
 // a large index stays O(1) while the decoded values (and therefore every
 // decision and stage counter) are identical to eager priming. A no-op for
-// custom metrics (stages is nil) — they have no embedding tier.
-func primeEmbeddings(set *shard.Set, stages metric.StageCounter) {
+// custom metrics (star is nil) — they have no embedding tier.
+func primeEmbeddings(set *shard.Set, star *metric.StarMetric) {
+	if star == nil {
+		return
+	}
 	for i := 0; i < set.Shards(); i++ {
 		part := set.Part(i)
 		if tab := part.EmbeddingTable(); tab != nil {
-			if tp, ok := stages.(metric.EmbeddingTablePrimer); ok {
-				tp.PrimeEmbeddingTable(part.Base(), tab)
-			}
-			continue
-		}
-		if p, ok := stages.(metric.EmbeddingPrimer); ok {
-			p.PrimeEmbeddings(part.Base(), part.Embeddings())
+			star.PrimeEmbeddingTable(part.Base(), tab)
+		} else {
+			star.PrimeEmbeddings(part.Base(), part.Embeddings())
 		}
 	}
 }
@@ -374,17 +373,15 @@ func primeEmbeddings(set *shard.Set, stages metric.StageCounter) {
 // instrumentMetric wraps the configured metric for observability: a counting
 // layer (distance computations are the paper's central cost measure) and,
 // for the default star metric, a memoizing cache whose hit/miss totals feed
-// the same telemetry. Custom metrics are sanity-checked before wrapping so
-// the spot-check probes don't pollute the counters.
-func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Counter, *metric.Cache, metric.StageCounter, error) {
+// the same telemetry; the star metric itself is returned for its cascade
+// counters and embedding priming. Custom metrics are sanity-checked before
+// wrapping so the spot-check probes don't pollute the counters.
+func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Counter, *metric.Cache, *metric.StarMetric, error) {
 	if custom == nil {
 		star := metric.Star(db)
 		counter := metric.NewCounter(star)
 		cache := metric.NewCache(counter)
-		// The star metric tracks which cascade stage resolved each bounded
-		// threshold test; surface that breakdown to the telemetry layer.
-		stages, _ := star.(metric.StageCounter)
-		return cache, counter, cache, stages, nil
+		return cache, counter, cache, star, nil
 	}
 	// Catch broken custom metrics early: a handful of cheap spot checks on
 	// the properties every index theorem assumes.
@@ -476,7 +473,7 @@ func openWithIndex(db *Database, opts []Options, load func(metric.Metric) (*shar
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	m, counter, cache, stages, err := instrumentMetric(db, o.Metric)
+	m, counter, cache, star, err := instrumentMetric(db, o.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -490,8 +487,8 @@ func openWithIndex(db *Database, opts []Options, load func(metric.Metric) (*shar
 	// No construction happened, but session initialization still fans out;
 	// honor the Workers option for it. Build-phase gauges read as zero.
 	set.SetWorkers(o.Workers)
-	primeEmbeddings(set, stages)
-	tel, err := newEngineTelemetry(db, set, counter, cache, stages, 0, o.Workers)
+	primeEmbeddings(set, star)
+	tel, err := newEngineTelemetry(db, set, counter, cache, star, 0, o.Workers)
 	if err != nil {
 		if closer != nil {
 			closer.Close()
@@ -528,7 +525,9 @@ func (e *Engine) ShardFor(id ID) int { return e.set.PartFor(id) }
 // `// guarded by <mu>` in their struct declarations; the lockguard analyzer
 // (cmd/replint) then enforces that only functions which lock that mutex —
 // or are named *Locked to declare the caller holds it — touch them.
-// Sessions created before an Insert do not see the new graph.
+// Sessions created before an Insert are stale: their TopK, TopKContext and
+// SweepTheta calls return ErrStaleSession, and a new session sees the
+// inserted graph.
 func (e *Engine) Insert(g *Graph) error {
 	if err := e.db.Append(g); err != nil {
 		return err
@@ -540,9 +539,9 @@ func (e *Engine) Insert(g *Graph) error {
 	// filter embedding to the metric (already-cached vectors are kept).
 	last := e.set.Shards() - 1
 	e.tel.setShardGauges(e.set, last)
-	if p, ok := e.tel.stages.(metric.EmbeddingPrimer); ok {
+	if star := e.tel.star; star != nil {
 		part := e.set.Part(last)
-		p.PrimeEmbeddings(part.Base(), part.Embeddings())
+		star.PrimeEmbeddings(part.Base(), part.Embeddings())
 	}
 	return nil
 }
@@ -564,8 +563,8 @@ type TelemetryRegistry = telemetry.Registry
 type Telemetry struct {
 	reg     *telemetry.Registry
 	counter *metric.Counter
-	cache   *metric.Cache       // nil when a custom metric is configured
-	stages  metric.StageCounter // nil when a custom metric is configured
+	cache   *metric.Cache      // nil when a custom metric is configured
+	star    *metric.StarMetric // nil when a custom metric is configured
 	nb      *nbindex.Telemetry
 	// Per-shard gauges, labelled by decimal shard index. Values are set at
 	// Open and refreshed for the last shard by Insert.
@@ -586,42 +585,37 @@ func (t *Telemetry) setShardGauges(set *shard.Set, p int) {
 // gauges, build-phase wall times, and the nbindex per-query work
 // histograms. gridTime is the θ-grid sampling phase (measured by Open,
 // which runs it before Build); workers is the configured Options.Workers.
-func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, cache *metric.Cache, stages metric.StageCounter, gridTime time.Duration, workers int) (*Telemetry, error) {
+func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, cache *metric.Cache, star *metric.StarMetric, gridTime time.Duration, workers int) (*Telemetry, error) {
 	reg := telemetry.NewRegistry()
-	t := &Telemetry{reg: reg, counter: counter, cache: cache, stages: stages}
+	t := &Telemetry{reg: reg, counter: counter, cache: cache, star: star}
 	var err error
 	if err := reg.NewCounterFunc("graphrep_distance_computations_total",
 		"Exact graph distance computations issued (including index construction).",
 		counter.Count); err != nil {
 		return nil, err
 	}
-	if stages != nil {
+	if star != nil {
 		// Bound-cascade breakdown of the default metric's threshold tests.
 		// Each stage name is a literal so the metricname analyzer can audit
 		// the namespace; the closures re-read the atomic counters per scrape.
 		if err := reg.NewCounterFunc("graphrep_metric_prune_embedding_total",
 			"Threshold tests resolved by the precomputed-embedding lower bound.",
-			func() int64 { return stages.PruneStats().Embedding }); err != nil {
+			func() int64 { return star.PruneStats().Embedding }); err != nil {
 			return nil, err
 		}
 		if err := reg.NewCounterFunc("graphrep_metric_prune_rowmin_total",
 			"Threshold tests decided by the row-minima lower bound.",
-			func() int64 { return stages.PruneStats().RowMin }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_rowmin_solved_total",
-			"Row-minima decisions that also completed a hardening Hungarian solve.",
-			func() int64 { return stages.PruneStats().RowMinSolved }); err != nil {
+			func() int64 { return star.PruneStats().RowMin }); err != nil {
 			return nil, err
 		}
 		if err := reg.NewCounterFunc("graphrep_metric_prune_greedy_total",
 			"Threshold tests resolved by the greedy-assignment upper bound.",
-			func() int64 { return stages.PruneStats().Greedy }); err != nil {
+			func() int64 { return star.PruneStats().Greedy }); err != nil {
 			return nil, err
 		}
 		if err := reg.NewCounterFunc("graphrep_metric_bounded_exact_total",
 			"Threshold tests that needed a completed Hungarian solve.",
-			func() int64 { return stages.PruneStats().BoundedExact }); err != nil {
+			func() int64 { return star.PruneStats().BoundedExact }); err != nil {
 			return nil, err
 		}
 	}
@@ -753,7 +747,7 @@ type TelemetrySnapshot struct {
 	// QueryTotals sums the per-query QueryStats of those calls.
 	QueryTotals QueryStats
 	// Prune is the bound-cascade breakdown of the default metric's threshold
-	// tests — which stage resolved each Within decision, and how many needed
+	// tests — which stage resolved each bounded decision, and how many needed
 	// a completed Hungarian solve. All zero when a custom metric is
 	// configured (no cascade) or DisableBoundedKernel is set (no bounded
 	// tests are ever issued).
@@ -778,8 +772,8 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		s.CacheMisses = t.cache.Misses()
 		s.CacheEntries = t.cache.Size()
 	}
-	if t.stages != nil {
-		s.Prune = t.stages.PruneStats()
+	if t.star != nil {
+		s.Prune = t.star.PruneStats()
 	}
 	return s
 }
@@ -893,6 +887,10 @@ func (e *Engine) Explain(rel Relevance, answer []ID, theta float64) map[ID][]ID 
 	relevant := core.Relevant(e.db, rel)
 	return core.AssignRepresentatives(e.db, e.m, relevant, answer, theta)
 }
+
+// ErrStaleSession is returned by the queries of a Session created before an
+// Engine.Insert; create a new session to query the grown database.
+var ErrStaleSession = shard.ErrStaleSession
 
 // Session is the reusable initialization for one relevance function: any
 // number of TopK calls at different θ (interactive refinement) amortize it.

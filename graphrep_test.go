@@ -2,7 +2,11 @@ package graphrep_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -46,29 +50,137 @@ func TestGenerateDatasetNames(t *testing.T) {
 	}
 }
 
+// TestTopKRepresentativeMatchesExact is the differential sweep of the
+// NB-Index against the quadratic exact greedy: on dud and dblp at n=150,
+// shards 1 and 2, kernel on and off, three θ drawn by a fixed seed from the
+// engine's own grid and k ∈ {3, 7}, the indexed answer and its power must
+// equal TopKRepresentativeExact's.
 func TestTopKRepresentativeMatchesExact(t *testing.T) {
-	_, engine := openSmall(t)
-	q := graphrep.Query{
-		Relevance: graphrep.FirstQuartileRelevance(engine.Database(), nil),
-		Theta:     8,
-		K:         5,
+	for _, dataset := range []string{"dud", "dblp"} {
+		db, err := graphrep.GenerateDataset(dataset, 150, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := graphrep.FirstQuartileRelevance(db, nil)
+		var thetas []float64
+		for _, shards := range []int{1, 2} {
+			for _, off := range []bool{false, true} {
+				engine, err := graphrep.Open(db, graphrep.Options{Seed: 3, Shards: shards, DisableBoundedKernel: off})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := engine.NewSession(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if thetas == nil {
+					// The grid depends on the data and the seed only, so the
+					// first engine's sweep names the θ every engine is asked.
+					sweep, err := sess.SweepTheta(3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(17))
+					for _, i := range rng.Perm(len(sweep))[:3] {
+						thetas = append(thetas, sweep[i].Theta)
+					}
+				}
+				for _, theta := range thetas {
+					for _, k := range []int{3, 7} {
+						fast, err := sess.TopK(theta, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						exact, err := engine.TopKRepresentativeExact(graphrep.Query{Relevance: rel, Theta: theta, K: k})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(fast.Answer, exact.Answer) || fast.Power != exact.Power {
+							t.Errorf("%s shards=%d kernelOff=%v θ=%v k=%d: index %v (π %v), exact %v (π %v)",
+								dataset, shards, off, theta, k, fast.Answer, fast.Power, exact.Answer, exact.Power)
+						}
+						if len(fast.Answer) == 0 || fast.Power <= 0 {
+							t.Errorf("%s θ=%v k=%d: degenerate result %+v", dataset, theta, k, fast)
+						}
+					}
+				}
+			}
+		}
 	}
-	fast, err := engine.TopKRepresentative(q)
+}
+
+// TestStaleSessionAfterInsert: a session created before Engine.Insert
+// returns ErrStaleSession from TopK, TopKContext and SweepTheta instead of
+// walking the grown index with its old rows, on built and mapped engines at
+// shards 1 and 2. A session created after the insert answers as the exact
+// greedy over the grown database.
+func TestStaleSessionAfterInsert(t *testing.T) {
+	extra, err := graphrep.GenerateDataset("dud", 1, 99)
 	if err != nil {
-		t.Fatalf("TopKRepresentative: %v", err)
+		t.Fatal(err)
 	}
-	exact, err := engine.TopKRepresentativeExact(q)
-	if err != nil {
-		t.Fatalf("TopKRepresentativeExact: %v", err)
-	}
-	if !reflect.DeepEqual(fast.Answer, exact.Answer) {
-		t.Errorf("answers differ: %v vs %v", fast.Answer, exact.Answer)
-	}
-	if fast.Power != exact.Power {
-		t.Errorf("powers differ: %v vs %v", fast.Power, exact.Power)
-	}
-	if len(fast.Answer) == 0 || fast.Power <= 0 {
-		t.Errorf("degenerate result %+v", fast)
+	for _, shards := range []int{1, 2} {
+		for _, mapped := range []bool{false, true} {
+			db, err := graphrep.GenerateDataset("dud", 200, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := graphrep.Open(db, graphrep.Options{Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped {
+				path := saveV4(t, engine, t.TempDir(), "stale")
+				if engine, err = graphrep.OpenWithIndexFile(db, path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			name := fmt.Sprintf("shards=%d mapped=%v", shards, mapped)
+			rel := graphrep.FirstQuartileRelevance(db, nil)
+			q := graphrep.Query{Relevance: rel, Theta: 8, K: 5}
+			stale, err := engine.NewSession(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stale.TopK(q.Theta, q.K); err != nil {
+				t.Fatalf("%s: TopK before the insert: %v", name, err)
+			}
+			id := graphrep.ID(db.Len())
+			g, err := extra.Graph(0).Clone(id).Build(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := engine.Insert(g); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stale.TopK(q.Theta, q.K); !errors.Is(err, graphrep.ErrStaleSession) {
+				t.Errorf("%s: stale TopK error %v, want ErrStaleSession", name, err)
+			}
+			if _, err := stale.TopKContext(context.Background(), q.Theta, q.K); !errors.Is(err, graphrep.ErrStaleSession) {
+				t.Errorf("%s: stale TopKContext error %v, want ErrStaleSession", name, err)
+			}
+			if _, err := stale.SweepTheta(q.K); !errors.Is(err, graphrep.ErrStaleSession) {
+				t.Errorf("%s: stale SweepTheta error %v, want ErrStaleSession", name, err)
+			}
+			fresh, err := engine.NewSession(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh.TopK(q.Theta, q.K)
+			if err != nil {
+				t.Fatalf("%s: fresh TopK: %v", name, err)
+			}
+			exact, err := engine.TopKRepresentativeExact(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Answer, exact.Answer) || got.Power != exact.Power {
+				t.Errorf("%s: fresh session %v (π %v), exact %v (π %v)", name, got.Answer, got.Power, exact.Answer, exact.Power)
+			}
+			if err := engine.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

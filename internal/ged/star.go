@@ -224,11 +224,8 @@ const (
 	// per-pair assignment work. Subsumes the retired size and histogram
 	// tiers (Embedding.LowerBound is ≥ both, always).
 	StageEmbedding Stage = iota
-	// StageRowMin: decided by the row-minima bound (O(n²), computed while
-	// filling the cost matrix). Deep misses return the bound alone; shallow
-	// misses (within rowMinDeepMargin of τ) additionally complete the solve
-	// on the already-filled matrix so the memoized interval is exact — the
-	// decision then carries Lo == Hi.
+	// StageRowMin: pruned by the row-minima lower bound (O(n²), computed
+	// while filling the cost matrix); the decision carries [rowSum, ∞).
 	StageRowMin
 	// StageGreedy: decided ≤ τ by the swap-polished greedy-assignment upper
 	// bound (O(n²)).
@@ -260,9 +257,7 @@ func (s Stage) String() string {
 // distance interval [Lo, Hi] the cascade proved along the way (Hi is +Inf
 // when no upper bound was established). Lo ≤ Distance ≤ Hi always holds, and
 // Leq is false only when Lo > τ, true only when Hi ≤ τ. The interval is
-// exact (Lo == Hi) when the solve ran to completion: always at StageExact,
-// and at StageRowMin when a shallow miss hardened the interval (see the
-// stage comments).
+// exact (Lo == Hi) exactly when the solve ran to completion, at StageExact.
 type Decision struct {
 	Leq   bool
 	Stage Stage
@@ -271,8 +266,7 @@ type Decision struct {
 }
 
 // Exact reports whether the cascade computed the exact distance — the
-// interval collapsed to a point. True for every completed solve, whichever
-// stage spent it.
+// interval collapsed to a point.
 func (d Decision) Exact() bool { return d.Lo == d.Hi }
 
 // DistanceAtMost decides Distance(a,b) ≤ tau through a cascade of provable
@@ -285,6 +279,11 @@ func (d Decision) Exact() bool { return d.Lo == d.Hi }
 // fired zero times there — are folded into it (LowerBound dominates both).
 // Because every ground cost is a non-negative integer, the decision equals
 // Distance(a,b) ≤ tau exactly, for every tau.
+//
+// The bound stages only prove an interval and never spend a solve: a miss
+// returns [bound, ∞) however close to tau it lands. Settling a pair whose
+// stored interval later fails to decide a probe is the caller's one exact
+// path (metric.Cache computes Distance for it).
 func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
 	return a.DistanceAtMostWithLower(b, tau, a.emb.LowerBound(b.emb))
 }
@@ -326,24 +325,8 @@ func (a *StarSig) DistanceAtMostWithLower(b *StarSig, tau, emblo float64) Decisi
 	greedy, rowSum := sc.solver.GreedyWithMins(sc.cost, n, sc.rowMin)
 	lo = max(lo, float64(rowSum))
 	if lo > tau {
-		if lo > tau+rowMinDeepMargin {
-			putScratch(sc)
-			return Decision{Leq: false, Stage: StageRowMin, Lo: lo, Hi: inf}
-		}
-		// Shallow miss: the bound already proves d > τ, but only barely —
-		// under a threshold sweep this pair is near-certain to be re-probed
-		// at a nearby higher threshold, where the memoized [lo, ∞) interval
-		// fails to decide and the cache promotes the pair to a full fill and
-		// solve anyway. The matrix is already paid for; completing the solve
-		// now costs only the Hungarian run and settles the pair exactly for
-		// every future threshold, where pruning would forfeit this fill and
-		// repeat it at the promotion. (The greedy polish is skipped: the
-		// optimum is ≥ rowSum > τ, so no upper bound can reach τ.) The stage stays StageRowMin — the row bound decided the verdict;
-		// the solve only hardened the interval — with Lo == Hi marking that a
-		// full solve was nonetheless spent.
-		total := float64(sc.solver.TotalWarm(sc.cost, n, sc.rowMin))
 		putScratch(sc)
-		return Decision{Leq: total <= tau, Stage: StageRowMin, Lo: total, Hi: total}
+		return Decision{Leq: false, Stage: StageRowMin, Lo: lo, Hi: inf}
 	}
 	// Greedy upper bound: any feasible assignment bounds the optimum from
 	// above, so greedy (with 2-swap polish, exiting the moment the running
@@ -393,18 +376,6 @@ func floorThreshold(tau float64) int64 {
 	}
 	return int64(math.Floor(tau))
 }
-
-// rowMinDeepMargin splits row-minima misses into durable and ephemeral
-// prunes. A miss is worth returning early only when the proven lower bound
-// clears the threshold by more than the span a sweeping workload walks: the
-// memoized interval [lo, ∞) then decides every future probe of the pair, and
-// the solve really is saved. A shallower miss would be re-probed undecided at
-// the next grid point and promoted to a second fill and solve — measured at
-// the reference n=4000 workload, nearly every shallow row-minima prune came
-// back as a promotion, turning the "saved" solve into a doubled fill. The
-// margin approximates the observed sweep spans (≈ 60 across the reference
-// grids) at half, trading a few durable prunes for none of the doubling.
-const rowMinDeepMargin = 32
 
 // starScratch is the pooled per-solve arena: the flat row-major cost matrix,
 // the per-row minima, and the integer solver's own scratch. One scratch serves one solve at a time; concurrency

@@ -9,14 +9,19 @@ import (
 	"graphrep/internal/graph"
 )
 
-// Every built-in metric must satisfy the BoundedMetric contract exactly:
-// Within(a, b, θ) ⇔ Distance(a, b) ≤ θ, at thresholds on, below, and above
-// the true distance.
-func TestWithinMatchesDistance(t *testing.T) {
+// within is the verdict of Decide alone.
+func within(m Metric, a, b graph.ID, theta float64) bool {
+	leq, _ := Decide(m, a, b, theta)
+	return leq
+}
+
+// Every built-in metric must satisfy the bounded-decision contract exactly:
+// Decide(m, a, b, θ) ⇔ Distance(a, b) ≤ θ, at thresholds on, below, and
+// above the true distance.
+func TestDecideMatchesDistance(t *testing.T) {
 	db := testDB(t, 40, 3)
-	star := Star(db)
-	metrics := map[string]BoundedMetric{
-		"star":    star.(BoundedMetric),
+	metrics := map[string]Metric{
+		"star":    Star(db),
 		"counter": NewCounter(Star(db)),
 		"cache":   NewCache(NewCounter(Star(db))),
 		"matrix":  NewMatrix(db, Star(db), 2),
@@ -28,16 +33,16 @@ func TestWithinMatchesDistance(t *testing.T) {
 			b := graph.ID(rng.Intn(db.Len()))
 			d := m.Distance(a, b)
 			for _, theta := range []float64{d - 1, d - 0.5, d, d + 0.5, d + 1, 0, -1, d * 2} {
-				if got := m.Within(a, b, theta); got != (d <= theta) {
-					t.Fatalf("%s: Within(%d,%d,%v) = %v but Distance = %v", name, a, b, theta, got, d)
+				if got := within(m, a, b, theta); got != (d <= theta) {
+					t.Fatalf("%s: Decide(%d,%d,%v) = %v but Distance = %v", name, a, b, theta, got, d)
 				}
 			}
 		}
 	}
 }
 
-// Decide must agree with Within for bounded metrics and fall back to an
-// exact comparison (never pruned) for plain metrics.
+// Decide must fall back to an exact comparison (never pruned) for plain
+// metrics and for metrics whose bounded path ExactOnly hides.
 func TestDecideFallback(t *testing.T) {
 	db := testDB(t, 20, 5)
 	star := Star(db)
@@ -63,73 +68,41 @@ func TestDecideFallback(t *testing.T) {
 }
 
 // ExactOnly must hide the bounded capability entirely.
-func TestExactOnlyHidesWithin(t *testing.T) {
+func TestExactOnlyHidesBoundedPath(t *testing.T) {
 	m := ExactOnly(NewCache(Star(testDB(t, 5, 1))))
-	if _, ok := m.(BoundedMetric); ok {
-		t.Error("ExactOnly metric still exposes Within")
-	}
 	if _, ok := m.(decider); ok {
 		t.Error("ExactOnly metric still exposes the detailed decision path")
 	}
 }
 
-// A pruned Within must still help later calls: the interval it stores
+// A pruned decision must still help later calls: the interval it stores
 // answers a repeat of the same test from the table (a hit with no inner
 // computation), and Misses continues to equal the inner computations issued.
 func TestCacheIntervalMemoization(t *testing.T) {
 	db := testDB(t, 30, 9)
 	counter := NewCounter(Star(db))
 	c := NewCache(counter)
-	star := Star(db)
 
-	// Find a pair and threshold whose fresh bounded decision is a prune with
-	// an open interval [lo, ∞) — the cascade may instead volunteer the exact
-	// value (a completed solve), which would store an exact entry and change
-	// every count below, so probe with a scratch metric first.
-	probe := Star(db).(*starMetric)
-	var a, b graph.ID
-	var d, theta float64
-	found := false
-	for i := 0; i < db.Len() && !found; i++ {
-		for j := i + 1; j < db.Len() && !found; j++ {
-			dd := star.Distance(graph.ID(i), graph.ID(j))
-			if dd < 3 {
-				continue
-			}
-			for _, th := range []float64{1, dd / 2, dd - 1} {
-				if th <= 0 {
-					continue
-				}
-				if dec := probe.boundedDecide(graph.ID(i), graph.ID(j), th); dec.pruned && math.IsInf(dec.hi, 1) {
-					a, b, d, theta = graph.ID(i), graph.ID(j), dd, th
-					found = true
-					break
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no pair with a pruned open-interval decision in test database")
-	}
-	if c.Within(a, b, theta) {
-		t.Fatalf("Within(%v) true but distance is %v", theta, d)
+	a, b, d, theta, _ := openIntervalPair(t, db)
+	if within(c, a, b, theta) {
+		t.Fatalf("Decide(%v) true but distance is %v", theta, d)
 	}
 	if c.Misses() != 1 || c.Size() != 1 {
-		t.Fatalf("after first Within: misses=%d size=%d, want 1, 1", c.Misses(), c.Size())
+		t.Fatalf("after first decision: misses=%d size=%d, want 1, 1", c.Misses(), c.Size())
 	}
 	// Identical repeat: decided by the stored interval, no inner computation.
-	if c.Within(a, b, theta) {
-		t.Fatal("repeat Within changed its verdict")
+	if within(c, a, b, theta) {
+		t.Fatal("repeat decision changed its verdict")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("repeat Within: hits=%d misses=%d, want 1, 1", c.Hits(), c.Misses())
+		t.Fatalf("repeat decision: hits=%d misses=%d, want 1, 1", c.Hits(), c.Misses())
 	}
 	// A lower threshold is decided by the same lower bound (lo > θ' too).
-	if c.Within(a, b, theta-5) {
-		t.Fatal("Within at lower threshold changed its verdict")
+	if within(c, a, b, theta-5) {
+		t.Fatal("decision at lower threshold changed its verdict")
 	}
 	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("lower-threshold Within: hits=%d misses=%d, want 2, 1", c.Hits(), c.Misses())
+		t.Fatalf("lower-threshold decision: hits=%d misses=%d, want 2, 1", c.Hits(), c.Misses())
 	}
 	if got := counter.Count(); got != c.Misses() {
 		t.Fatalf("inner computations %d != misses %d", got, c.Misses())
@@ -145,7 +118,7 @@ func TestCacheIntervalMemoization(t *testing.T) {
 	}
 	// Now exact: every further call at any threshold is a hit.
 	hits := c.Hits()
-	if c.Within(a, b, d) != true || c.Within(a, b, d-0.5) != false || c.Distance(a, b) != d {
+	if !within(c, a, b, d) || within(c, a, b, d-0.5) || c.Distance(a, b) != d {
 		t.Fatal("exact entry answered incorrectly")
 	}
 	if c.Hits() != hits+3 || c.Misses() != 2 {
@@ -159,71 +132,74 @@ func TestCacheIntervalMemoization(t *testing.T) {
 	}
 }
 
-// weakBounded is a test metric whose bounded path never volunteers the exact
-// value: a false verdict proves only lo = nextafter(θ), a true verdict only
-// hi = θ. Every repeat probe at a fresh threshold inside the stored interval
-// is therefore undecided, which exercises the Cache's promote-to-exact policy
-// deterministically.
-type weakBounded struct {
-	d     float64
-	calls int
-}
-
-func (f *weakBounded) Distance(a, b graph.ID) float64 {
-	f.calls++
-	return f.d
-}
-
-func (f *weakBounded) Within(a, b graph.ID, theta float64) bool {
-	return f.boundedDecide(a, b, theta).leq
-}
-
-func (f *weakBounded) boundedDecide(a, b graph.ID, theta float64) decision {
-	f.calls++
-	if f.d > theta {
-		return decision{leq: false, pruned: true, lo: math.Nextafter(theta, math.Inf(1)), hi: math.Inf(1)}
-	}
-	return decision{leq: true, pruned: true, lo: 0, hi: theta}
-}
-
-// Repeated undecided probes on one pair must promote the entry to exact after
-// promoteProbes repeats, after which every test at any threshold is a table
-// hit and the inner metric is never consulted again.
-func TestCachePromoteToExact(t *testing.T) {
-	inner := &weakBounded{d: 10}
-	c := NewCache(inner)
-	a, b := graph.ID(0), graph.ID(1)
-
-	// Ascending thresholds below d: each probe stores lo just above its θ,
-	// so the next θ is always inside the stored interval — an undecided
-	// repeat. Probe 1 is the initial miss; probe 2 is the first repeat, which
-	// reaches promoteProbes and computes the exact distance instead of
-	// issuing another partial cascade.
-	for i, theta := range []float64{4, 5} {
-		if c.Within(a, b, theta) {
-			t.Fatalf("probe %d: Within(%v) = true, distance %v", i+1, theta, inner.d)
+// openIntervalPair finds a pair and threshold whose fresh bounded decision
+// is a prune with an open interval [lo, ∞), probing a scratch metric so the
+// caller's counters stay untouched. It returns the exact distance d and the
+// proven lo; lo ≤ d, so a probe at θ = lo is one the interval cannot decide.
+func openIntervalPair(t *testing.T, db *graph.Database) (a, b graph.ID, d, theta, lo float64) {
+	t.Helper()
+	probe := Star(db)
+	for i := 0; i < db.Len(); i++ {
+		for j := i + 1; j < db.Len(); j++ {
+			dd := probe.Distance(graph.ID(i), graph.ID(j))
+			if dd < 3 {
+				continue
+			}
+			for _, th := range []float64{1, dd / 2, dd - 1} {
+				if th <= 0 {
+					continue
+				}
+				if dec := probe.boundedDecide(graph.ID(i), graph.ID(j), th); dec.pruned && math.IsInf(dec.hi, 1) {
+					return graph.ID(i), graph.ID(j), dd, th, dec.lo
+				}
+			}
 		}
 	}
-	if inner.calls != 2 {
-		t.Fatalf("inner calls = %d after promotion window, want 2 (1 bounded probe + 1 exact)", inner.calls)
+	t.Fatal("no pair with a pruned open-interval decision in test database")
+	return
+}
+
+// A stored interval that cannot decide a probe is replaced by exactly one
+// exact Distance on the inner metric, after which every test at any
+// threshold is a table hit and the inner metric is never consulted again.
+func TestCachePromoteToExact(t *testing.T) {
+	db := testDB(t, 30, 9)
+	star := Star(db)
+	c := NewCache(star)
+	a, b, d, theta, lo := openIntervalPair(t, db)
+
+	if within(c, a, b, theta) {
+		t.Fatalf("Decide(%v) true but distance is %v", theta, d)
+	}
+	// θ = lo lies inside the stored [lo, ∞): the interval cannot decide.
+	before := star.PruneStats()
+	if got := within(c, a, b, lo); got != (d <= lo) {
+		t.Fatalf("undecided repeat: Decide(%v) = %v, distance %v", lo, got, d)
+	}
+	after := star.PruneStats()
+	if after.ExactValues-before.ExactValues != 1 || after.FullSolves()-before.FullSolves() != 1 ||
+		after.Pruned() != before.Pruned() {
+		t.Fatalf("undecided repeat spent %d exact values, %d full solves, %d prunes; want 1, 1, 0 (%+v -> %+v)",
+			after.ExactValues-before.ExactValues, after.FullSolves()-before.FullSolves(),
+			after.Pruned()-before.Pruned(), before, after)
 	}
 	if c.Misses() != 2 {
 		t.Fatalf("misses = %d, want 2", c.Misses())
 	}
 	// Promoted: every further call, at any threshold, is a hit.
 	hits := c.Hits()
-	if c.Within(a, b, 9) || !c.Within(a, b, 10) || c.Distance(a, b) != 10 {
+	if within(c, a, b, d-1) || !within(c, a, b, d) || c.Distance(a, b) != d {
 		t.Fatal("promoted entry answered incorrectly")
 	}
-	if inner.calls != 2 {
-		t.Errorf("inner consulted after promotion: %d calls", inner.calls)
+	if s := star.PruneStats(); s != after {
+		t.Errorf("inner consulted after promotion: %+v -> %+v", after, s)
 	}
 	if c.Hits() != hits+3 || c.Misses() != 2 {
 		t.Errorf("hits=%d misses=%d after promotion, want %d, 2", c.Hits(), c.Misses(), hits+3)
 	}
 }
 
-// Concurrent Within/Distance storms on one Cache must converge to exact
+// Concurrent decision/Distance storms on one Cache must converge to exact
 // values that agree with an uncached reference, with the hit/miss invariant
 // (hits + misses == non-identity lookups, misses == inner computations)
 // intact. Run under -race this also checks the striped locking around the
@@ -253,8 +229,8 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 						errs <- "Distance diverged from reference"
 						return
 					}
-				} else if got, want := c.Within(a, b, theta), ref.Distance(a, b) <= theta; got != want {
-					errs <- "Within diverged from reference"
+				} else if got, want := within(c, a, b, theta), ref.Distance(a, b) <= theta; got != want {
+					errs <- "Decide diverged from reference"
 					return
 				}
 			}
@@ -286,9 +262,7 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 func TestStarPruneStats(t *testing.T) {
 	db := testDB(t, 30, 17)
 	star := Star(db)
-	sc := star.(StageCounter)
-	bounded := star.(BoundedMetric)
-	if s := sc.PruneStats(); s != (PruneStats{}) {
+	if s := star.PruneStats(); s != (PruneStats{}) {
 		t.Fatalf("fresh metric has nonzero stats: %+v", s)
 	}
 	rng := rand.New(rand.NewSource(19))
@@ -299,10 +273,10 @@ func TestStarPruneStats(t *testing.T) {
 		if a == b {
 			continue
 		}
-		bounded.Within(a, b, float64(rng.Intn(14)))
+		Decide(star, a, b, float64(rng.Intn(14)))
 		tests++
 	}
-	s := sc.PruneStats()
+	s := star.PruneStats()
 	if got := s.Pruned() + s.FullSolves(); got != int64(tests) {
 		t.Errorf("stage counts %+v sum to %d, want %d bounded tests", s, got, tests)
 	}
@@ -310,7 +284,7 @@ func TestStarPruneStats(t *testing.T) {
 		t.Errorf("ExactValues = %d without any Distance call", s.ExactValues)
 	}
 	star.Distance(0, 1)
-	if s := sc.PruneStats(); s.ExactValues != 1 {
+	if s := star.PruneStats(); s.ExactValues != 1 {
 		t.Errorf("ExactValues = %d after one Distance call, want 1", s.ExactValues)
 	}
 }

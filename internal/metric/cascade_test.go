@@ -87,16 +87,16 @@ func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64
 //
 //   - embedding: a single far-off vertex vs a labelled ring — the cached
 //     vectors alone prove d > θ;
-//   - rowMin (deep): many copies of a motif pair with identical center and
-//     spoke histograms (the embedding bound is 0) whose asymmetric stars
-//     each cost ≥ 1 to pair, pushing the row-minima sum past θ by more than
-//     rowMinDeepMargin — the bound prunes outright;
-//   - rowMin (shallow): one motif copy, row-minima sum 2 > θ = 1 but within
-//     the margin — the bound decides, and a hardening solve is spent;
+//   - rowMin: a motif pair with identical center and spoke histograms (the
+//     embedding bound is 0) whose two asymmetric stars each cost ≥ 1 to
+//     pair, so the row-minima sum 2 > θ = 1 — a miss by the smallest
+//     integer margin, pruned with no solve;
 //   - greedy: two isomorphic graphs under distinct IDs at θ = 0 — only the
 //     greedy upper bound (a zero-cost assignment) can prove d ≤ 0;
 //
-// and the exact stage uses a deterministically searched pair.
+// and the exact stage uses a deterministically searched pair. A Cache over
+// the same metric then settles the row-minima pair's first undecided repeat
+// with exactly one solve.
 func TestCascadeTiersCrafted(t *testing.T) {
 	// Crafted specs (see the derivations in the doc comment).
 	embedA := graphSpec{labels: []graph.Label{9}}
@@ -106,26 +106,11 @@ func TestCascadeTiersCrafted(t *testing.T) {
 	}
 	rowMinA := graphSpec{labels: []graph.Label{1, 2, 2, 1}, edges: [][3]int{{0, 1, 0}, {0, 2, 0}}}
 	rowMinB := graphSpec{labels: []graph.Label{1, 2, 1, 2}, edges: [][3]int{{0, 1, 0}, {2, 3, 0}}}
-	// Each motif copy contributes 2 to the row-minima sum (the two stars with
-	// mismatched spoke counts cost ≥ 1 against every counterpart); 17 copies
-	// give rowSum = 34 > θ + rowMinDeepMargin at θ = 1, forcing a deep prune.
-	motifs := func(base graphSpec, k int) graphSpec {
-		var s graphSpec
-		for c := 0; c < k; c++ {
-			off := c * len(base.labels)
-			s.labels = append(s.labels, base.labels...)
-			for _, e := range base.edges {
-				s.edges = append(s.edges, [3]int{e[0] + off, e[1] + off, e[2]})
-			}
-		}
-		return s
-	}
-	rowMinDeepA, rowMinDeepB := motifs(rowMinA, 17), motifs(rowMinB, 17)
 	iso := graphSpec{labels: []graph.Label{1, 2}, edges: [][3]int{{0, 1, 0}}}
 
 	exactA, exactB, exactTau := findStagePair(t, ged.StageExact)
 
-	crafted := []graphSpec{embedA, embedB, rowMinDeepA, rowMinDeepB, rowMinA, rowMinB, iso, iso}
+	crafted := []graphSpec{embedA, embedB, rowMinA, rowMinB, iso, iso}
 	graphs := make([]*graph.Graph, 0, len(crafted)+2)
 	for i, s := range crafted {
 		graphs = append(graphs, s.build(t, graph.ID(i)))
@@ -145,8 +130,6 @@ func TestCascadeTiersCrafted(t *testing.T) {
 		t.Fatal(err)
 	}
 	star := Star(db)
-	bm := star.(BoundedMetric)
-	sc := star.(StageCounter)
 
 	rows := []struct {
 		name string
@@ -155,25 +138,23 @@ func TestCascadeTiersCrafted(t *testing.T) {
 		leq  bool
 		tier func(PruneStats) int64
 		// solves is how many completed Hungarian runs the decision spends:
-		// 0 for a pure prune, 1 for the exact stage and for a shallow
-		// row-minima miss (which hardens the memoized interval).
+		// 0 for a prune, 1 for the exact stage.
 		solves int64
 	}{
 		{"embedding", 0, 1, 1, false, func(p PruneStats) int64 { return p.Embedding }, 0},
-		{"rowmin-deep", 2, 3, 1, false, func(p PruneStats) int64 { return p.RowMin }, 0},
-		{"rowmin-solved", 4, 5, 1, false, func(p PruneStats) int64 { return p.RowMin }, 1},
-		{"greedy", 6, 7, 0, true, func(p PruneStats) int64 { return p.Greedy }, 0},
-		{"exact", 8, 9, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
+		{"rowmin", 2, 3, 1, false, func(p PruneStats) int64 { return p.RowMin }, 0},
+		{"greedy", 4, 5, 0, true, func(p PruneStats) int64 { return p.Greedy }, 0},
+		{"exact", 6, 7, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
 	}
 	// The searched exact-stage pair may resolve either verdict; derive it.
-	rows[4].leq = ged.NewStarSig(graphs[8]).Distance(ged.NewStarSig(graphs[9])) <= exactTau
+	rows[3].leq = ged.NewStarSig(graphs[6]).Distance(ged.NewStarSig(graphs[7])) <= exactTau
 
 	for _, row := range rows {
-		before := sc.PruneStats()
-		got := bm.Within(row.a, row.b, row.tau)
-		after := sc.PruneStats()
+		before := star.PruneStats()
+		got := within(star, row.a, row.b, row.tau)
+		after := star.PruneStats()
 		if got != row.leq {
-			t.Errorf("%s: Within(%d,%d,%v) = %v, want %v", row.name, row.a, row.b, row.tau, got, row.leq)
+			t.Errorf("%s: Decide(%d,%d,%v) = %v, want %v", row.name, row.a, row.b, row.tau, got, row.leq)
 		}
 		if delta := row.tier(after) - row.tier(before); delta != 1 {
 			t.Errorf("%s: tier counter moved by %d, want 1 (before %+v, after %+v)",
@@ -190,8 +171,31 @@ func TestCascadeTiersCrafted(t *testing.T) {
 			t.Errorf("%s: Pruned() moved by %d, want %d", row.name, delta, wantPruned)
 		}
 	}
-	if s := sc.PruneStats(); s.ExactValues != 0 {
+	if s := star.PruneStats(); s.ExactValues != 0 {
 		t.Errorf("threshold tests issued %d plain Distance computations, want 0 (%+v)", s.ExactValues, s)
+	}
+
+	// Through a Cache, the row-minima prune stores [2, ∞); a repeat at θ = 2
+	// lies inside it, and the cache settles the pair with one exact solve.
+	d := star.Distance(2, 3)
+	c := NewCache(star)
+	before := star.PruneStats()
+	if within(c, 2, 3, 1) {
+		t.Fatalf("cached row-minima decision at θ = 1 is true, distance %v", d)
+	}
+	mid := star.PruneStats()
+	if mid.RowMin-before.RowMin != 1 || mid.FullSolves() != before.FullSolves() {
+		t.Errorf("cached first probe: %+v -> %+v, want one row-minima prune and no solve", before, mid)
+	}
+	if got := within(c, 2, 3, 2); got != (d <= 2) {
+		t.Errorf("undecided repeat: Decide(2,3,2) = %v, distance %v", got, d)
+	}
+	after := star.PruneStats()
+	if after.FullSolves()-mid.FullSolves() != 1 || after.Pruned() != mid.Pruned() {
+		t.Errorf("undecided repeat: %+v -> %+v, want exactly one solve and no prune", mid, after)
+	}
+	if c.Misses() != 2 || c.Hits() != 0 {
+		t.Errorf("cache hits=%d misses=%d, want 0, 2", c.Hits(), c.Misses())
 	}
 }
 
@@ -205,15 +209,13 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	for i := range embs {
 		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
 	}
-	star.(EmbeddingPrimer).PrimeEmbeddings(0, embs)
-	bm := star.(BoundedMetric)
-	sc := star.(StageCounter)
+	star.PrimeEmbeddings(0, embs)
 	decided := 0
 	for a := graph.ID(0); int(a) < db.Len(); a++ {
 		for b := a + 1; int(b) < db.Len(); b++ {
 			if lb := embs[a].LowerBound(embs[b]); lb > 0 {
-				if bm.Within(a, b, lb-0.5) {
-					t.Fatalf("Within(%d,%d,%v) = true below the embedding lower bound", a, b, lb-0.5)
+				if within(star, a, b, lb-0.5) {
+					t.Fatalf("Decide(%d,%d,%v) = true below the embedding lower bound", a, b, lb-0.5)
 				}
 				decided++
 			}
@@ -222,7 +224,7 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	if decided == 0 {
 		t.Fatal("no pair had a positive embedding bound; test corpus degenerate")
 	}
-	if s := sc.PruneStats(); s.Embedding != int64(decided) {
+	if s := star.PruneStats(); s.Embedding != int64(decided) {
 		t.Errorf("embedding tier decided %d of %d primed far-pair tests (%+v)", s.Embedding, decided, s)
 	}
 }

@@ -34,14 +34,13 @@ func TestGreedyTierRunsOnEveryDecision(t *testing.T) {
 	const decisions = 4096 + 256
 	a, b, tau := findStagePair(t, ged.StageExact)
 	star := Star(pairDB(t, a, b))
-	bm, sc := star.(BoundedMetric), star.(StageCounter)
-	want := bm.Within(0, 1, tau)
+	want := within(star, 0, 1, tau)
 	for i := 1; i < decisions; i++ {
-		if got := bm.Within(0, 1, tau); got != want {
+		if got := within(star, 0, 1, tau); got != want {
 			t.Fatalf("verdict flipped at decision %d: %v -> %v", i, want, got)
 		}
 	}
-	s := sc.PruneStats()
+	s := star.PruneStats()
 	if s.Greedy != 0 {
 		t.Fatalf("fixture landed %d greedy successes, want 0 (%+v)", s.Greedy, s)
 	}

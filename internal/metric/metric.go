@@ -30,19 +30,20 @@ func (f Func) Distance(a, b graph.ID) float64 { return f(a, b) }
 // Star returns the default database metric: the star-matching distance over
 // db, with per-graph star signatures computed lazily and cached. It is safe
 // for concurrent use and tolerates databases that grow via Append.
-//
-// Star also implements EmbeddingPrimer: an engine that loads a persisted
-// index hands the per-shard filter embeddings to the metric, so far pairs
-// are pruned from the cached vectors before any star decomposition happens.
-func Star(db *graph.Database) Metric {
+func Star(db *graph.Database) *StarMetric {
 	// sigs and embs start empty and grow to the accessed ID on demand (the
 	// same append-growth Insert relies on), so constructing the metric —
 	// which every engine open does — costs O(1) regardless of database
 	// size.
-	return &starMetric{db: db}
+	return &StarMetric{db: db}
 }
 
-type starMetric struct {
+// StarMetric is the star-matching metric Star returns. Beyond Distance it
+// decides threshold tests through the ged bound cascade (see Decide),
+// counts where each decision terminated (PruneStats), and adopts the filter
+// embeddings an index carries (PrimeEmbeddings, PrimeEmbeddingTable), so far
+// pairs are pruned from cached vectors before any star decomposition.
+type StarMetric struct {
 	db *graph.Database
 	mu sync.RWMutex
 	// sigs[id] is the lazily materialized star signature of id (nil until
@@ -58,12 +59,8 @@ type starMetric struct {
 	// stages[s] counts bounded decisions terminating at cascade stage s;
 	// exactValues counts plain Distance computations (always a full solve).
 	// Together they form the PruneStats breakdown (see bounded.go).
-	stages [ged.NumStages]paddedCounter
-	// rowMinSolved counts the StageRowMin subset whose shallow miss completed
-	// a hardening solve (Decision.Exact() true): decided by the bound, but a
-	// full Hungarian run was still spent and must show up in FullSolves.
-	rowMinSolved paddedCounter
-	exactValues  paddedCounter
+	stages      [ged.NumStages]paddedCounter
+	exactValues paddedCounter
 }
 
 // paddedCounter is an atomic.Int64 alone on its cache line. One of these
@@ -76,7 +73,7 @@ type paddedCounter struct {
 	_ [56]byte
 }
 
-func (m *starMetric) sig(id graph.ID) *ged.StarSig {
+func (m *StarMetric) sig(id graph.ID) *ged.StarSig {
 	m.mu.RLock()
 	if int(id) < len(m.sigs) {
 		if s := m.sigs[id]; s != nil {
@@ -105,7 +102,7 @@ func (m *starMetric) sig(id graph.ID) *ged.StarSig {
 // whichever signatures it still needs. One RLock/RUnlock here replaces up to
 // four on the bounded hot path — the RWMutex reader count is a shared atomic,
 // so every acquisition is a contended RMW under the parallel verify loops.
-func (m *starMetric) pairState(a, b graph.ID) (sa, sb *ged.StarSig, ea, eb *ged.Embedding) {
+func (m *StarMetric) pairState(a, b graph.ID) (sa, sb *ged.StarSig, ea, eb *ged.Embedding) {
 	m.mu.RLock()
 	if int(a) < len(m.sigs) {
 		sa, ea = m.sigs[a], m.embs[a]
@@ -141,7 +138,7 @@ type tableRange struct {
 // result in embs so the decode happens once. Returns nil when no table
 // covers id — without taking the write lock, so IDs outside every table
 // (e.g. freshly inserted graphs) cost only the coverage scan.
-func (m *starMetric) tableEmb(tabs []tableRange, id graph.ID) *ged.Embedding {
+func (m *StarMetric) tableEmb(tabs []tableRange, id graph.ID) *ged.Embedding {
 	found := -1
 	for i, tr := range tabs {
 		if id >= tr.base && int(id-tr.base) < tr.tab.Len() {
@@ -166,12 +163,14 @@ func (m *starMetric) tableEmb(tabs []tableRange, id graph.ID) *ged.Embedding {
 	return e
 }
 
-// PrimeEmbeddingTable implements EmbeddingTablePrimer: adopt an encoded
-// per-shard embedding table covering the contiguous ID range starting at
-// base. Unlike PrimeEmbeddings nothing is decoded up front; vectors
-// materialize lazily as pairs are tested, which is what keeps opening a
-// mapped index O(1) in the database size.
-func (m *starMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
+// PrimeEmbeddingTable adopts an encoded per-shard embedding table covering
+// the contiguous ID range starting at base — what an engine over a mapped
+// index registers. Unlike PrimeEmbeddings nothing is decoded up front;
+// vectors materialize lazily as pairs are tested, which is what keeps
+// opening a mapped index O(1) in the database size. Decoded vectors are
+// identical to eagerly primed ones, so answers and stage attribution do not
+// depend on the priming path.
+func (m *StarMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	if tab == nil || tab.Len() == 0 {
 		return
 	}
@@ -180,12 +179,12 @@ func (m *starMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	m.tabs = append(m.tabs, tableRange{base: base, tab: tab})
 }
 
-// PrimeEmbeddings implements EmbeddingPrimer: adopt precomputed filter
-// vectors for the contiguous ID range starting at base. Vectors already
+// PrimeEmbeddings adopts precomputed filter vectors for the contiguous ID
+// range starting at base. Vectors already
 // cached (from a sig materialization or an earlier prime) win — they are
 // identical by construction, so keeping the resident pointer avoids
 // aliasing churn. Nil entries are skipped.
-func (m *starMetric) PrimeEmbeddings(base graph.ID, embs []*ged.Embedding) {
+func (m *StarMetric) PrimeEmbeddings(base graph.ID, embs []*ged.Embedding) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, e := range embs {
@@ -204,7 +203,7 @@ func (m *starMetric) PrimeEmbeddings(base graph.ID, embs []*ged.Embedding) {
 }
 
 // Distance implements Metric.
-func (m *starMetric) Distance(a, b graph.ID) float64 {
+func (m *StarMetric) Distance(a, b graph.ID) float64 {
 	if a == b {
 		return 0
 	}
@@ -270,10 +269,10 @@ const cacheShards = 64
 //
 // Each entry is a monotonically tightening interval [lo, hi] around the true
 // distance, exact iff lo == hi. Distance stores exact values; the bounded
-// Within path (see bounded.go) also stores the partial intervals a pruned
-// decision proves, so a pruned test still helps later calls at nearby
-// thresholds. Merging keeps lo non-decreasing and hi non-increasing, and an
-// exact value always wins.
+// path (see bounded.go) also stores the partial intervals a pruned decision
+// proves, so a pruned test still helps later calls at nearby thresholds.
+// Merging keeps lo non-decreasing and hi non-increasing, and an exact value
+// always wins.
 type Cache struct {
 	inner        Metric
 	hits, misses atomic.Int64
@@ -281,12 +280,9 @@ type Cache struct {
 }
 
 // interval is one memo entry: lo ≤ d(a,b) ≤ hi, exact iff lo == hi (hi is
-// +Inf until some stage proves an upper bound). probes counts undecided
-// repeat tests — misses on a pair that already had an entry — and drives the
-// promote-to-exact policy in boundedDecide (see bounded.go).
+// +Inf until some stage proves an upper bound).
 type interval struct {
 	lo, hi float64
-	probes uint8
 }
 
 func (e interval) exact() bool { return e.lo == e.hi }
@@ -324,7 +320,7 @@ func (c *Cache) shard(k uint64) *cacheShard {
 
 // Distance implements Metric with memoization. Identity pairs (a == b) are
 // answered without touching the table and count as neither hit nor miss. An
-// interval-only entry (from a pruned Within) cannot answer a value lookup, so
+// interval-only entry (from a pruned decision) cannot answer a value lookup, so
 // it counts as a miss; the computed exact value then replaces the interval.
 //
 // Two goroutines that miss on the same key concurrently both compute the
@@ -357,45 +353,22 @@ func (c *Cache) Distance(a, b graph.ID) float64 {
 // same true distance, so the merge keeps lo ≤ hi.
 func (sh *cacheShard) store(k uint64, lo, hi float64) {
 	sh.mu.Lock()
-	var probes uint8
 	if e, ok := sh.memo[k]; ok {
-		if e.lo > lo {
-			lo = e.lo
-		}
-		if e.hi < hi {
-			hi = e.hi
-		}
-		probes = e.probes
+		lo, hi = max(lo, e.lo), min(hi, e.hi)
 	}
-	sh.memo[k] = interval{lo: lo, hi: hi, probes: probes}
+	sh.memo[k] = interval{lo: lo, hi: hi}
 	sh.mu.Unlock()
-}
-
-// bumpProbes increments (saturating) the undecided-repeat count of k's entry
-// and returns the new value. Zero if the entry vanished (a concurrent Clear).
-func (sh *cacheShard) bumpProbes(k uint64) uint8 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.memo[k]
-	if !ok {
-		return 0
-	}
-	if e.probes < ^uint8(0) {
-		e.probes++
-	}
-	sh.memo[k] = e
-	return e.probes
 }
 
 // Hits returns the number of calls answered from the memo table — exact
 // entries answering Distance, plus exact or interval entries conclusively
-// answering Within.
+// deciding a threshold test.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of calls that fell through to the wrapped
 // metric — i.e. the expensive inner computations actually issued through
 // this cache, whether they produced a value (Distance) or a threshold
-// decision (Within).
+// decision.
 func (c *Cache) Misses() int64 { return c.misses.Load() }
 
 // Size returns the number of memoized pairs — exact and interval-only

@@ -156,10 +156,10 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 }
 
 // Embeddings returns the per-graph filter embeddings, indexed by covered
-// graph ID minus Base(). The engine hands them to the metric
-// (metric.EmbeddingPrimer) so threshold tests on far pairs resolve from the
-// cached vectors without materializing star signatures. Nil for view-backed
-// indexes, which carry EmbeddingTable instead.
+// graph ID minus Base(). The engine hands them to the star metric
+// (metric.StarMetric.PrimeEmbeddings) so threshold tests on far pairs
+// resolve from the cached vectors without materializing star signatures.
+// Nil for view-backed indexes, which carry EmbeddingTable instead.
 func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 
 // PartFromViewsDeferred assembles an index part from persisted components —
@@ -279,8 +279,8 @@ func (ix *Index) Timing() BuildTiming { return ix.timing }
 // (its ID must be the database's last, and this index must be the one whose
 // range ends there — the last shard, in sharded deployments). Costs |V|
 // vantage distances plus a tree descent. Sessions created before an Insert
-// do not see the new graph; create a fresh Session afterwards. Not safe
-// concurrently with queries.
+// are stale (shard.ErrStaleSession); create a fresh Session afterwards. Not
+// safe concurrently with queries.
 func (ix *Index) Insert(id graph.ID) error {
 	if err := ix.EnsureValid(); err != nil {
 		return err

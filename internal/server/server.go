@@ -263,8 +263,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Cached sessions predate the insert and would silently miss the new
-	// graph; drop them so the next query re-initializes.
+	// Cached sessions predate the insert and would answer ErrStaleSession;
+	// drop them so the next query re-initializes.
 	s.sessMu.Lock()
 	s.sessions = make(map[string]*sessionEntry)
 	s.sessMu.Unlock()

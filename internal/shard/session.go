@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -50,6 +51,12 @@ func (s *Set) EnsureValid() error {
 	return nil
 }
 
+// ErrStaleSession is returned by the queries of a session created before the
+// set grew by Insert. The session's π̂ rows and relevance positions cover the
+// graphs that existed at its creation, while the trees it would walk have
+// grown since; a new session sees the inserted graphs.
+var ErrStaleSession = errors.New("shard: session predates an insert; create a new session")
+
 // Session is the initialization phase for one relevance function (§7): the
 // global π̂ row of every relevant graph, stored at the graph's leaf in its
 // home shard's tree. A Session answers any number of TopK calls at varying θ
@@ -57,12 +64,14 @@ func (s *Set) EnsureValid() error {
 // initialization it is read-only apart from the mutex-guarded LastStats
 // bookkeeping, so TopK and SweepTheta are safe to call from multiple
 // goroutines concurrently. The set must not be mutated (Insert) while
-// queries are in flight.
+// queries are in flight, and once it has been, the session's queries return
+// ErrStaleSession.
 type Session struct {
 	set  *Set
 	grid []float64
 	rel  []graph.ID
-	// relPos maps a database ID to its position in rel, or −1.
+	// relPos maps a database ID to its position in rel, or −1. Its length
+	// is the graph count at creation, which stale() checks.
 	relPos []int
 	// piHat[p][leafNodeIdx] is the GLOBAL π̂ row (summed across shards) of
 	// the leaf's graph in shard p's tree; nil rows for irrelevant leaves.
@@ -118,6 +127,9 @@ func newSession(ctx context.Context, set *Set, q core.Relevance) (*Session, erro
 	}
 	return s, nil
 }
+
+// stale reports whether the set has grown since the session was created.
+func (s *Session) stale() bool { return s.set.db.Len() != len(s.relPos) }
 
 // RelevantCount returns |L_q| for the session.
 func (s *Session) RelevantCount() int { return len(s.rel) }
@@ -190,6 +202,9 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if s.stale() {
+		return nil, ErrStaleSession
 	}
 	parts := s.set.parts
 	res := &core.Result{Relevant: len(s.rel)}

@@ -210,7 +210,7 @@ func TestMappedStatsEqualHeap(t *testing.T) {
 			heapStar := metric.Star(db)
 			heap := &Set{db: db, m: metric.NewCache(heapStar), grid: built.grid, parts: built.parts}
 			for _, part := range heap.parts {
-				heapStar.(metric.EmbeddingPrimer).PrimeEmbeddings(part.Base(), part.Embeddings())
+				heapStar.PrimeEmbeddings(part.Base(), part.Embeddings())
 			}
 			mappedStar := metric.Star(db)
 			mapped, err := ReadBytesContext(context.Background(), buf.Bytes(), db, metric.NewCache(mappedStar))
@@ -218,7 +218,7 @@ func TestMappedStatsEqualHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, part := range mapped.parts {
-				mappedStar.(metric.EmbeddingTablePrimer).PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
+				mappedStar.PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
 			}
 			var stats [2][]nbindex.QueryStats
 			for side, set := range []*Set{heap, mapped} {

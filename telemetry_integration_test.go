@@ -156,7 +156,6 @@ func TestEngineTelemetryExposition(t *testing.T) {
 		"graphrep_nbindex_pruned_distances_count 1",
 		"graphrep_metric_prune_embedding_total",
 		"graphrep_metric_prune_rowmin_total",
-		"graphrep_metric_rowmin_solved_total",
 		"graphrep_metric_prune_greedy_total",
 		"graphrep_metric_bounded_exact_total",
 	} {
@@ -170,6 +169,11 @@ func TestEngineTelemetryExposition(t *testing.T) {
 	if strings.Contains(out, "graphrep_metric_greedy_tried_total") {
 		t.Error("exposition carries the derivable greedy attempt series")
 	}
+	// A row-minima miss never spends a solve, so there is no hardening
+	// series to export.
+	if strings.Contains(out, "graphrep_metric_rowmin_solved_total") {
+		t.Error("exposition carries the retired row-minima hardening series")
+	}
 	// The bounded kernel must actually have pruned something on the query
 	// path: the per-query pruned counter and the cascade stage totals agree
 	// that work was avoided.
@@ -179,6 +183,9 @@ func TestEngineTelemetryExposition(t *testing.T) {
 	}
 	if p := snap.Prune; p.GreedyTried != p.Greedy+p.BoundedExact {
 		t.Errorf("greedy attempts %d, want greedy %d + bounded exact %d", p.GreedyTried, p.Greedy, p.BoundedExact)
+	}
+	if p := snap.Prune; p.RowMinSolved != 0 {
+		t.Errorf("RowMinSolved = %d, want 0", p.RowMinSolved)
 	}
 }
 
