@@ -42,8 +42,8 @@ func TestOpenEngineRebuildsLegacyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(got, []byte("NBIDX004")) {
-		t.Fatalf("index file starts %q after the rebuild, want NBIDX004", got[:min(8, len(got))])
+	if !bytes.HasPrefix(got, []byte("NBIDX005")) {
+		t.Fatalf("index file starts %q after the rebuild, want NBIDX005", got[:min(8, len(got))])
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestOpenEngineRebuildsLegacyIndex(t *testing.T) {
 }
 
 // TestOpenEngineRebuildsCorruptIndex flips bytes inside a section of a saved
-// v4 index. The mapped open checks only the header and directory, so the
+// NBIDX005 index. The mapped open checks only the header and directory, so the
 // corruption must be caught by the content validation openEngine runs before
 // serving: it rebuilds, replaces the file with the same bytes a clean build
 // writes, and the engine it returns answers queries.
@@ -84,7 +84,7 @@ func TestOpenEngineRebuildsCorruptIndex(t *testing.T) {
 	// Overwrite the first record header of the embedding blob (section kind
 	// 41, shard 0) with an implausible star count.
 	corrupt := append([]byte(nil), clean...)
-	dir, err := container.Parse(corrupt, [8]byte([]byte("NBIDX004")))
+	dir, err := container.Parse(corrupt, [8]byte([]byte("NBIDX005")))
 	if err != nil {
 		t.Fatal(err)
 	}

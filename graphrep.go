@@ -98,8 +98,8 @@ func WriteDatabase(w io.Writer, db *Database) error { return graph.WriteDatabase
 func SaveDatabase(w io.Writer, db *Database) error { return graph.SaveDatabase(w, db) }
 
 // OpenDatabaseFile opens a GRDB001 container previously written by
-// SaveDatabase. The file is memory-mapped (unless Options.DisableMmap is set
-// or the platform lacks support) and graph content is served zero-copy: the
+// SaveDatabase. The file is memory-mapped (unless GRAPHREP_DISABLE_MMAP is
+// set or the platform lacks support) and graph content is served zero-copy: the
 // open cost is independent of the corpus size and the heap retains only
 // per-graph handles materialized on demand. Structural validation of the
 // content is deferred — session creation, Insert, and Validate run it once on
@@ -107,13 +107,7 @@ func SaveDatabase(w io.Writer, db *Database) error { return graph.SaveDatabase(w
 // the first validated access, never with undefined behavior. Graphs appended
 // afterwards live on the heap; the mapped prefix stays immutable. Call
 // Database.Close when no reads remain in flight to release the mapping.
-func OpenDatabaseFile(path string, opts ...Options) (*Database, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return graph.OpenDatabaseFile(path, o.DisableMmap)
-}
+func OpenDatabaseFile(path string) (*Database, error) { return graph.OpenDatabaseFile(path) }
 
 // LoadDatabaseFile opens a database file of either supported format,
 // dispatching on content: files starting with the GRDB001 magic open through
@@ -121,7 +115,7 @@ func OpenDatabaseFile(path string, opts ...Options) (*Database, error) {
 // the text exchange format onto the heap. This is what the command-line
 // tools call, so a .grdb corpus drops into any -in flag that previously took
 // a text file.
-func LoadDatabaseFile(path string, opts ...Options) (*Database, error) {
+func LoadDatabaseFile(path string) (*Database, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -134,7 +128,7 @@ func LoadDatabaseFile(path string, opts ...Options) (*Database, error) {
 	}
 	if n == len(magic) && magic == graph.GRDBMagic {
 		f.Close()
-		return OpenDatabaseFile(path, opts...)
+		return OpenDatabaseFile(path)
 	}
 	defer f.Close()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -215,13 +209,6 @@ type Options struct {
 	// measures the savings against it) and for bisecting a suspected kernel
 	// difference.
 	DisableBoundedKernel bool
-	// DisableMmap makes OpenWithIndexFile read the index file into memory
-	// instead of memory-mapping it. Queries, answers, and statistics are
-	// identical either way — only residency changes: a mapped index is paged
-	// in on demand and shared between processes, a read one is private heap.
-	// Platforms without mmap support always read; this forces the same on
-	// platforms that have it.
-	DisableMmap bool
 }
 
 // Engine answers top-k representative queries over one database through an
@@ -348,25 +335,19 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	return &Engine{db: db, m: m, set: set, tel: tel}, nil
 }
 
-// primeEmbeddings hands the per-shard filter embeddings carried by the index
-// (built or loaded) to the default metric, so threshold tests on far pairs
-// resolve from the cached vectors without ever materializing a star
-// signature. View-backed shards (v4, typically mmapped) prime their encoded
-// table instead — the metric decodes records lazily on first use, so opening
-// a large index stays O(1) while the decoded values (and therefore every
-// decision and stage counter) are identical to eager priming. A no-op for
-// custom metrics (star is nil) — they have no embedding tier.
+// primeEmbeddings hands the per-shard encoded filter embeddings carried by
+// the index (built or loaded) to the default metric, so threshold tests on
+// far pairs resolve from the decoded vectors without ever materializing a
+// star signature. The metric decodes records lazily on first use, so
+// opening a large mapped index stays O(1). A no-op for custom metrics (star
+// is nil) — they have no embedding tier.
 func primeEmbeddings(set *shard.Set, star *metric.StarMetric) {
 	if star == nil {
 		return
 	}
 	for i := 0; i < set.Shards(); i++ {
 		part := set.Part(i)
-		if tab := part.EmbeddingTable(); tab != nil {
-			star.PrimeEmbeddingTable(part.Base(), tab)
-		} else {
-			star.PrimeEmbeddings(part.Base(), part.Embeddings())
-		}
+		star.PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
 	}
 }
 
@@ -396,8 +377,8 @@ func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Count
 // SaveIndex, skipping index construction entirely. The database must be the
 // same one the index was built over. It is OpenWithIndexContext with no
 // cancellation. The stream is read into memory and served from there; to map
-// the index file instead, use OpenWithIndexFile. Index files of the gob
-// generations before the current format (NBIDX001–003) fail with an error
+// the index file instead, use OpenWithIndexFile. Index files of the
+// generations before the current format (NBIDX001–004) fail with an error
 // naming the format: an index is a derived cache, so rebuild it with Open and
 // save it again.
 func OpenWithIndex(db *Database, r io.Reader, opts ...Options) (*Engine, error) {
@@ -419,8 +400,8 @@ func OpenWithIndexContext(ctx context.Context, db *Database, r io.Reader, opts .
 }
 
 // OpenWithIndexFile reopens a database with an index file previously written
-// by SaveIndex. The file is memory-mapped (unless Options.DisableMmap is set
-// or the platform lacks support) and served zero-copy: the open cost is
+// by SaveIndex. The file is memory-mapped (unless GRAPHREP_DISABLE_MMAP is
+// set or the platform lacks support) and served zero-copy: the open cost is
 // independent of the index size, pages fault in on first use, and concurrent
 // queries share one read-only mapping. Call Engine.Close when done to
 // release the mapping — after no queries remain in flight. Legacy index
@@ -433,12 +414,8 @@ func OpenWithIndexFile(db *Database, path string, opts ...Options) (*Engine, err
 // OpenWithIndexFileContext is OpenWithIndexFile with cancellation, observed
 // at every shard boundary of the load.
 func OpenWithIndexFileContext(ctx context.Context, db *Database, path string, opts ...Options) (*Engine, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
 	return openWithIndex(db, opts, func(m metric.Metric) (*shard.Set, io.Closer, error) {
-		f, err := openIndexFile(path, o.DisableMmap)
+		f, err := mmapfile.Open(path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -451,15 +428,6 @@ func OpenWithIndexFileContext(ctx context.Context, db *Database, path string, op
 		// mapping must outlive it, so hand the file to the engine.
 		return set, f, nil
 	})
-}
-
-// openIndexFile maps path read-only, or reads it when mapping is disabled or
-// unsupported.
-func openIndexFile(path string, disableMmap bool) (*mmapfile.File, error) {
-	if disableMmap {
-		return mmapfile.OpenReadAll(path)
-	}
-	return mmapfile.Open(path)
 }
 
 // openWithIndex is the shared tail of every index-loading open: instrument
@@ -535,14 +503,10 @@ func (e *Engine) Insert(g *Graph) error {
 	if err := e.set.Insert(g.ID()); err != nil {
 		return err
 	}
-	// Only the last shard grew: refresh its gauges and hand the new graph's
-	// filter embedding to the metric (already-cached vectors are kept).
-	last := e.set.Shards() - 1
-	e.tel.setShardGauges(e.set, last)
-	if star := e.tel.star; star != nil {
-		part := e.set.Part(last)
-		star.PrimeEmbeddings(part.Base(), part.Embeddings())
-	}
+	// Only the last shard grew: refresh its gauges. The metric needs no
+	// priming for the new graph: the insert's vantage distances already
+	// materialized its star signature and filter embedding.
+	e.tel.setShardGauges(e.set, e.set.Shards()-1)
 	return nil
 }
 

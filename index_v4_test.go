@@ -24,11 +24,11 @@ import (
 //     in internal/shard's TestMappedStatsEqualHeap);
 //   - one shared mapping serves any number of concurrent query goroutines
 //     (the -race build is the real assertion);
-//   - DisableMmap (and platforms without mmap) read the file instead, with
-//     identical results;
-//   - the committed v4 golden blob loads, answers identically to a fresh
-//     build, and re-saves to the same bytes a fresh engine writes;
-//   - the gob generations before v4 fail with an error naming the format.
+//   - GRAPHREP_DISABLE_MMAP (and platforms without mmap) read the file
+//     instead, with identical results;
+//   - the committed NBIDX005 golden blob loads, answers identically to a
+//     fresh build, and re-saves to the same bytes a fresh engine writes;
+//   - the generations before NBIDX005 fail with an error naming the format.
 
 // saveV4 persists engine's index to a file under dir and returns its path.
 func saveV4(t *testing.T, engine *graphrep.Engine, dir string, tag string) string {
@@ -97,6 +97,83 @@ func TestV4MmapEqualsBuilt(t *testing.T) {
 			if err := fromV4.Close(); err != nil {
 				t.Errorf("shards=%d workers=%d: close: %v", shards, workers, err)
 			}
+		}
+	}
+}
+
+// TestV4InsertMappedEqualsBuilt checks both thaw paths of an insert into a
+// mapped engine — the sorted-view insertion of the vantage ordering and the
+// embedding-table append through cap==len views — against the same inserts
+// into the engine that built the file: after 5 inserts both re-save to
+// identical bytes and answer identically at every grid θ, at shards 1 and 2.
+func TestV4InsertMappedEqualsBuilt(t *testing.T) {
+	extra, err := graphrep.GenerateDataset("dud", 5, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		var engines [2]*graphrep.Engine
+		for side := range engines {
+			// Inserts grow the database, so each side gets its own copy.
+			db, err := graphrep.GenerateDataset("dud", 120, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := graphrep.Open(db, graphrep.Options{Seed: 3, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if side == 1 {
+				path := saveV4(t, engine, t.TempDir(), "insert")
+				if engine, err = graphrep.OpenWithIndexFile(db, path); err != nil {
+					t.Fatal(err)
+				}
+				defer engine.Close()
+			}
+			for i := 0; i < extra.Len(); i++ {
+				id := graphrep.ID(db.Len())
+				g, err := extra.Graph(graphrep.ID(i)).Clone(id).Build(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := engine.Insert(g); err != nil {
+					t.Fatalf("shards=%d side=%d: insert %d: %v", shards, side, i, err)
+				}
+			}
+			engines[side] = engine
+		}
+		var saved [2]bytes.Buffer
+		var answers [2][]answer
+		var points [2][]graphrep.ThetaPoint
+		for side, engine := range engines {
+			if err := engine.SaveIndex(&saved[side]); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := engine.NewSession(graphrep.FirstQuartileRelevance(engine.Database(), nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if points[side], err = sess.SweepTheta(5); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range points[side] {
+				res, err := sess.TopK(p.Theta, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[side] = append(answers[side], answer{Answer: res.Answer, Gains: res.Gains,
+					Covered: res.Covered, Relevant: res.Relevant, Power: res.Power})
+			}
+		}
+		if !bytes.Equal(saved[1].Bytes(), saved[0].Bytes()) {
+			t.Errorf("shards=%d: mapped engine re-saves to different bytes than the built engine after the same inserts", shards)
+		}
+		if len(points[0]) == 0 {
+			t.Fatalf("shards=%d: empty sweep", shards)
+		}
+		if !reflect.DeepEqual(points[1], points[0]) || !reflect.DeepEqual(answers[1], answers[0]) {
+			t.Errorf("shards=%d: mapped engine answers differ from the built engine after the same inserts:\n got %+v\nwant %+v",
+				shards, answers[1], answers[0])
 		}
 	}
 }
@@ -173,8 +250,9 @@ func TestV4ConcurrentQueriesSharedMapping(t *testing.T) {
 }
 
 // TestOpenWithIndexFileDisableMmap checks the read fallback: with mapping
-// disabled the same file produces identical answers, and Close stays safe
-// (idempotent, and a no-op for heap-backed engines).
+// disabled through GRAPHREP_DISABLE_MMAP the same file produces identical
+// answers and stats, and Close stays safe (idempotent, and a no-op for
+// heap-backed engines).
 func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 100, 3)
 	if err != nil {
@@ -188,6 +266,7 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	v4path := saveV4(t, engine, dir, "fallback")
 	// Baseline: the mapped open. (Not the builder — its warm distance cache
 	// legitimately shifts the pruned/exact stats split.)
+	t.Setenv("GRAPHREP_DISABLE_MMAP", "")
 	mapped, err := graphrep.OpenWithIndexFile(db, v4path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,13 +274,14 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	defer mapped.Close()
 	wantAnswers, wantStats, _ := collectAnswers(t, mapped, 4)
 
-	noMmap, err := graphrep.OpenWithIndexFile(db, v4path, graphrep.Options{DisableMmap: true})
+	t.Setenv("GRAPHREP_DISABLE_MMAP", "1")
+	noMmap, err := graphrep.OpenWithIndexFile(db, v4path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	answers, stats, _ := collectAnswers(t, noMmap, 4)
 	if !reflect.DeepEqual(answers, wantAnswers) || !reflect.DeepEqual(stats, wantStats) {
-		t.Error("DisableMmap engine answers or stats differ from the mapped engine")
+		t.Error("GRAPHREP_DISABLE_MMAP engine answers or stats differ from the mapped engine")
 	}
 	if err := noMmap.Close(); err != nil {
 		t.Fatal(err)
@@ -211,7 +291,7 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	}
 }
 
-// TestIndexCompatMatrix loads the committed v4 golden blob — written over
+// TestIndexCompatMatrix loads the committed NBIDX005 golden blob — written over
 // the dud-120 seed-7 database with two shards — and checks the compatibility
 // contract: it loads with its shard layout, answers exactly like a fresh
 // build, and re-saves to the same bytes a fresh 2-shard engine writes.
@@ -233,7 +313,7 @@ func TestIndexCompatMatrix(t *testing.T) {
 		file   string
 		shards int
 	}{
-		{"index_v4_dud120_seed7.nbx", 2},
+		{"index_nbidx005_dud120_seed7.nbx", 2},
 	} {
 		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
 		if err != nil {
@@ -258,22 +338,24 @@ func TestIndexCompatMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(resave.Bytes(), freshSave.Bytes()) {
-			t.Errorf("%s re-saved bytes differ from a fresh %d-shard v4 save", tc.file, tc.shards)
+			t.Errorf("%s re-saved bytes differ from a fresh %d-shard save", tc.file, tc.shards)
 		}
 	}
 }
 
-// TestLegacyIndexNamedError checks that index files of the gob generations
-// (NBIDX001–003) fail through both open paths with an error naming the
+// TestLegacyIndexNamedError checks that index files of the generations
+// before NBIDX005 — the gob formats NBIDX001–003 and the per-VP sorted-view
+// container NBIDX004 — fail through both open paths with an error naming the
 // format as no longer read, not as a generic bad magic. The bytes follow the
-// v3 layout's opening fields: magic, grid length, grid, shard count.
+// v3 layout's opening fields: magic, grid length, grid, shard count; only
+// the magic is read.
 func TestLegacyIndexNamedError(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, magic := range []string{"NBIDX001", "NBIDX002", "NBIDX003"} {
+	for _, magic := range []string{"NBIDX001", "NBIDX002", "NBIDX003", "NBIDX004"} {
 		blob := legacyIndexBytes(magic)
 		path := filepath.Join(dir, magic+".nbx")
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
@@ -289,8 +371,8 @@ func TestLegacyIndexNamedError(t *testing.T) {
 	}
 }
 
-// legacyIndexBytes returns the opening fields of a gob-generation index file
-// with the given magic: a one-entry θ grid and a one-shard count.
+// legacyIndexBytes returns the opening fields of a legacy index file with
+// the given magic: a one-entry θ grid and a one-shard count.
 func legacyIndexBytes(magic string) []byte {
 	var b bytes.Buffer
 	b.WriteString(magic)

@@ -91,9 +91,14 @@ var ThawSites = map[string]string{
 	// so the leading append must reallocate onto the heap before the
 	// element writes and copies that follow touch the row.
 	"vantage.(*Ordering).Insert": "rows are cap==len views; the leading append reallocates before any element write",
-	// Insert calls thaw() first, which copies leafOf and the flat tree (and
-	// decodes the embeddings) off the mapping before the leaf-map writes.
+	// Insert calls thaw() first, which copies leafOf and the flat tree off
+	// the mapping before the leaf-map writes; the embedding table and the
+	// vantage rows need no thaw, they grow through their own append sites.
 	"nbindex.(*Index).Insert": "thaw() copies leafOf and the flat tree off the mapping before the leaf-map writes",
+	// The offset array and blob are cap==len views (container sections and
+	// mmapfile.View clip capacity), so both appends reallocate onto the heap;
+	// Append writes no element in place.
+	"ged.(*Table).Append": "offs and blob are cap==len views; each append reallocates before anything is written",
 	// The flat tree grows only on the heap: add builds the fresh Flat of
 	// BuildSubsetContext, and both add and Insert otherwise run only under
 	// nbindex.(*Index).Insert, after thaw() has cloned the tree.

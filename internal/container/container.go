@@ -1,5 +1,5 @@
 // Package container owns the binary framing shared by the repository's
-// zero-copy file formats — the NBIDX004 index and the GRDB001 corpus. A
+// zero-copy file formats — the NBIDX005 index and the GRDB001 corpus. A
 // container is a flat offset-tabled layout readable in place from a byte
 // slice, typically a memory mapping, so opening one costs O(header +
 // directory), not O(data):

@@ -129,7 +129,7 @@ func TestParseRejectsCorruptLayout(t *testing.T) {
 // other sections. Seeds are the committed golden containers of both formats.
 func FuzzParse(f *testing.F) {
 	for _, path := range []string{
-		"../../testdata/index_v4_dud120_seed7.nbx",
+		"../../testdata/index_nbidx005_dud120_seed7.nbx",
 		"../graph/testdata/golden.grdb",
 	} {
 		data, err := os.ReadFile(path)

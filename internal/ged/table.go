@@ -8,10 +8,11 @@ import (
 
 // Table is a column of per-graph filter embeddings in their encoded form: an
 // offset array (one entry per graph plus a terminator) into a shared byte
-// blob of records, exactly the two sections the v4 index container stores.
-// Records stay encoded — typically as zero-copy views over a mapping — and
-// are decoded on demand with At; the structure itself is immutable and safe
-// for concurrent readers.
+// blob of records, exactly the two sections the index container stores.
+// Records stay encoded — built on the heap, or as zero-copy views over a
+// mapping — and are decoded on demand with At. The table is safe for
+// concurrent readers; it grows only by Append, under the exclusion an index
+// Insert holds against every reader.
 type Table struct {
 	offs []uint32
 	blob []byte
@@ -53,25 +54,38 @@ func (t *Table) Validate() error {
 }
 
 // NewTableFromEmbeddings encodes a slice of embeddings into table form — the
-// save path for indexes whose embeddings live on the heap. The encoding is a
-// pure function of the graphs, so the resulting bytes are identical to a
-// table loaded from disk for the same database.
+// build path's one encoding. The encoding is a pure function of the graphs,
+// so the resulting bytes are identical to a table loaded from disk for the
+// same database.
 func NewTableFromEmbeddings(embs []*Embedding) (*Table, error) {
-	offs := make([]uint32, len(embs)+1)
-	var buf bytes.Buffer
+	t := &Table{offs: []uint32{0}}
 	for i, e := range embs {
 		if e == nil {
 			return nil, fmt.Errorf("ged: embedding %d is nil", i)
 		}
-		if err := e.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("ged: encode embedding %d: %w", i, err)
+		if err := t.Append(e); err != nil {
+			return nil, fmt.Errorf("ged: embedding %d: %w", i, err)
 		}
-		if buf.Len() != int(uint32(buf.Len())) {
-			return nil, fmt.Errorf("ged: embedding table exceeds 4 GiB at record %d", i)
-		}
-		offs[i+1] = uint32(buf.Len())
 	}
-	return &Table{offs: offs, blob: buf.Bytes()}, nil
+	return t, nil
+}
+
+// Append encodes e as the table's new last record. Not safe concurrently
+// with readers. The offset array and blob of a table over a mapping are
+// views with cap == len, so their appends reallocate onto the heap and the
+// mapping is never written.
+func (t *Table) Append(e *Embedding) error {
+	var rec bytes.Buffer
+	if err := e.Encode(&rec); err != nil {
+		return fmt.Errorf("ged: encode embedding: %w", err)
+	}
+	end := len(t.blob) + rec.Len()
+	if end != int(uint32(end)) {
+		return fmt.Errorf("ged: embedding table exceeds 4 GiB")
+	}
+	t.blob = append(t.blob, rec.Bytes()...)
+	t.offs = append(t.offs, uint32(end))
+	return nil
 }
 
 // recordLen returns the byte length Encode produces for a record with n

@@ -12,7 +12,7 @@ import (
 )
 
 // Format GRDB001: the zero-copy graph container, the corpus-side sibling of
-// the NBIDX004 index container, in the same framing (internal/container).
+// the NBIDX005 index container, in the same framing (internal/container).
 // Where the text format parses every graph into heap-resident CSR slices, a
 // GRDB001 file is readable in place from a byte slice — typically a memory
 // mapping — so opening a database costs O(header + directory), not
@@ -122,20 +122,14 @@ func OpenDatabaseBytes(data []byte) (*Database, error) {
 }
 
 // OpenDatabaseFile opens a GRDB001 container written by SaveDatabase,
-// memory-mapping it unless disableMmap is set (or the platform lacks mmap, or
-// GRAPHREP_DISABLE_MMAP is set), and serving every graph zero-copy from the
+// memory-mapping it unless the platform lacks mmap or GRAPHREP_DISABLE_MMAP
+// is set, and serving every graph zero-copy from the
 // mapping. Open cost is O(1) in the corpus size: only the header, directory,
 // and section shape are checked here, and the deferred content validation
 // (EnsureValid) runs once on first indexed use. Call Database.Close when done
 // to release the mapping — after no reads remain in flight.
-func OpenDatabaseFile(path string, disableMmap bool) (*Database, error) {
-	var f *mmapfile.File
-	var err error
-	if disableMmap {
-		f, err = mmapfile.OpenReadAll(path)
-	} else {
-		f, err = mmapfile.Open(path)
-	}
+func OpenDatabaseFile(path string) (*Database, error) {
+	f, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, err
 	}

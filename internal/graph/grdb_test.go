@@ -136,8 +136,9 @@ func TestGRDBDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestGRDBOpenFile exercises the file path with mapping on and off: identical
-// content either way, and Close releases the backing without error.
+// TestGRDBOpenFile exercises the file path with mapping on and off (the
+// GRAPHREP_DISABLE_MMAP read fallback): identical content either way, and
+// Close releases the backing without error.
 func TestGRDBOpenFile(t *testing.T) {
 	db := testDatabase(t, 20, 2, 9)
 	blob := saveGRDB(t, db)
@@ -145,20 +146,23 @@ func TestGRDBOpenFile(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, disable := range []bool{false, true} {
-		mapped, err := OpenDatabaseFile(path, disable)
-		if err != nil {
-			t.Fatalf("disableMmap=%v: %v", disable, err)
-		}
-		if err := mapped.Validate(); err != nil {
-			t.Fatalf("disableMmap=%v: %v", disable, err)
-		}
-		for i := 0; i < db.Len(); i++ {
-			requireGraphEqual(t, db.Graph(ID(i)), mapped.Graph(ID(i)))
-		}
-		if err := mapped.Close(); err != nil {
-			t.Fatalf("disableMmap=%v: close: %v", disable, err)
-		}
+	for _, disable := range []string{"", "1"} {
+		t.Run("GRAPHREP_DISABLE_MMAP="+disable, func(t *testing.T) {
+			t.Setenv("GRAPHREP_DISABLE_MMAP", disable)
+			mapped, err := OpenDatabaseFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mapped.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < db.Len(); i++ {
+				requireGraphEqual(t, db.Graph(ID(i)), mapped.Graph(ID(i)))
+			}
+			if err := mapped.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		})
 	}
 }
 

@@ -94,11 +94,11 @@ func (m *StarMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	if a == b {
 		return decision{leq: 0 <= theta, pruned: true, lo: 0, hi: 0}
 	}
-	// Embedding-first: with both filter vectors cached (primed from a loaded
-	// index, or left behind by earlier sig materializations), a far pair is
-	// decided without touching the star signatures at all. The bound is then
-	// handed down so the cascade does not re-scan the vectors. Signatures and
-	// vectors are snapshotted in one reader-lock round.
+	// Embedding-first: with both filter vectors cached (decoded from the
+	// index's primed table, or left behind by earlier sig materializations),
+	// a far pair is decided without touching the star signatures at all. The
+	// bound is then handed down so the cascade does not re-scan the vectors.
+	// Signatures and vectors are snapshotted in one reader-lock round.
 	sa, sb, ea, eb := m.pairState(a, b)
 	lb := -1.0
 	if ea != nil && eb != nil {

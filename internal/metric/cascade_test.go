@@ -209,7 +209,11 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	for i := range embs {
 		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
 	}
-	star.PrimeEmbeddings(0, embs)
+	tab, err := ged.NewTableFromEmbeddings(embs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star.PrimeEmbeddingTable(0, tab)
 	decided := 0
 	for a := graph.ID(0); int(a) < db.Len(); a++ {
 		for b := a + 1; int(b) < db.Len(); b++ {

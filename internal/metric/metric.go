@@ -40,21 +40,21 @@ func Star(db *graph.Database) *StarMetric {
 
 // StarMetric is the star-matching metric Star returns. Beyond Distance it
 // decides threshold tests through the ged bound cascade (see Decide),
-// counts where each decision terminated (PruneStats), and adopts the filter
-// embeddings an index carries (PrimeEmbeddings, PrimeEmbeddingTable), so far
-// pairs are pruned from cached vectors before any star decomposition.
+// counts where each decision terminated (PruneStats), and adopts the encoded
+// filter embeddings an index carries (PrimeEmbeddingTable), so far pairs are
+// pruned from decoded vectors before any star decomposition.
 type StarMetric struct {
 	db *graph.Database
 	mu sync.RWMutex
 	// sigs[id] is the lazily materialized star signature of id (nil until
 	// first needed); embs[id] is its filter embedding, available earlier when
-	// primed from a persisted index. Both guarded by mu.
+	// decoded from a primed table. Both guarded by mu.
 	sigs []*ged.StarSig
 	embs []*ged.Embedding
-	// tabs lists encoded embedding tables primed from a mapped index; a
+	// tabs lists the encoded embedding tables primed from the index; a
 	// filter vector not yet in embs is decoded from its covering table on
-	// first use and cached. Guarded by mu (the table contents themselves are
-	// immutable).
+	// first use and cached. Guarded by mu (a table grows only under an index
+	// Insert, which every reader is excluded from).
 	tabs []tableRange
 	// stages[s] counts bounded decisions terminating at cascade stage s;
 	// exactValues counts plain Distance computations (always a full solve).
@@ -113,9 +113,9 @@ func (m *StarMetric) pairState(a, b graph.ID) (sa, sb *ged.StarSig, ea, eb *ged.
 	tabs := m.tabs
 	m.mu.RUnlock()
 	// Vectors primed as encoded tables decode on first use. The decoded value
-	// is identical to an eagerly primed one (the encoding round-trips), so
-	// cascade decisions and stage attribution do not depend on which priming
-	// path the engine used.
+	// is identical to the one a signature materializes (the encoding
+	// round-trips), so cascade decisions and stage attribution do not depend
+	// on which came first.
 	if len(tabs) > 0 {
 		if ea == nil {
 			ea = m.tableEmb(tabs, a)
@@ -164,12 +164,10 @@ func (m *StarMetric) tableEmb(tabs []tableRange, id graph.ID) *ged.Embedding {
 }
 
 // PrimeEmbeddingTable adopts an encoded per-shard embedding table covering
-// the contiguous ID range starting at base — what an engine over a mapped
-// index registers. Unlike PrimeEmbeddings nothing is decoded up front;
-// vectors materialize lazily as pairs are tested, which is what keeps
-// opening a mapped index O(1) in the database size. Decoded vectors are
-// identical to eagerly primed ones, so answers and stage attribution do not
-// depend on the priming path.
+// the contiguous ID range starting at base — what an engine registers for
+// every index part, built or mapped. Nothing is decoded up front; vectors
+// materialize lazily as pairs are tested, which is what keeps opening a
+// mapped index O(1) in the database size.
 func (m *StarMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	if tab == nil || tab.Len() == 0 {
 		return
@@ -177,29 +175,6 @@ func (m *StarMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tabs = append(m.tabs, tableRange{base: base, tab: tab})
-}
-
-// PrimeEmbeddings adopts precomputed filter vectors for the contiguous ID
-// range starting at base. Vectors already
-// cached (from a sig materialization or an earlier prime) win — they are
-// identical by construction, so keeping the resident pointer avoids
-// aliasing churn. Nil entries are skipped.
-func (m *StarMetric) PrimeEmbeddings(base graph.ID, embs []*ged.Embedding) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range embs {
-		if e == nil {
-			continue
-		}
-		id := int(base) + i
-		for len(m.embs) <= id {
-			m.sigs = append(m.sigs, nil)
-			m.embs = append(m.embs, nil)
-		}
-		if m.embs[id] == nil {
-			m.embs[id] = e
-		}
-	}
 }
 
 // Distance implements Metric.

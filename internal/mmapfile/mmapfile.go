@@ -43,7 +43,7 @@ func Open(path string) (*File, error) {
 }
 
 // OpenReadAll returns the file's byte image as a heap copy, never a mapping —
-// the Options.DisableMmap path, and the fallback for platforms without mmap.
+// the GRAPHREP_DISABLE_MMAP path, and the fallback for platforms without mmap.
 func OpenReadAll(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

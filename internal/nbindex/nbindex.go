@@ -45,7 +45,10 @@ type Index struct {
 	// flat is the NB-Tree, built in memory or viewed over a mapping; thaw
 	// copies it onto the heap before Insert grows it.
 	flat *nbtree.Flat
-	grid []float64
+	// views is true while flat and leafOf may alias a mapping
+	// (PartFromViewsDeferred); thaw copies them onto the heap and clears it.
+	views bool
+	grid  []float64
 	// base is the first graph ID covered.
 	base graph.ID
 	// leafOf maps a covered graph ID (offset by base) to its leaf node index
@@ -53,16 +56,13 @@ type Index struct {
 	// any mutation; validated by EnsureValid (deferred range checks for
 	// view-backed indexes).
 	leafOf []int32
-	// embs[i] is the filter embedding of graph base+i: the precomputed
-	// vector whose L1-style lower bound opens the bounded distance cascade.
-	// Embeddings are a pure function of the graphs — independent of the
-	// metric and of whether the bounded kernel is enabled — so index bytes
-	// stay identical either way. Built indexes compute them; view-backed
-	// indexes carry embTab instead and leave embs nil until thawed.
-	embs []*ged.Embedding
-	// embTab is the encoded embedding table of a view-backed index (nil for
-	// built indexes): the same vectors as embs, decoded on demand by the
-	// metric instead of eagerly at load.
+	// embTab is the encoded table of filter embeddings, record i for graph
+	// base+i: the precomputed vectors whose L1-style lower bound opens the
+	// bounded distance cascade, decoded on demand by the metric. Embeddings
+	// are a pure function of the graphs — independent of the metric and of
+	// whether the bounded kernel is enabled — so index bytes stay identical
+	// either way. Built indexes encode it once; view-backed indexes view it
+	// over the mapping.
 	embTab *ged.Table
 	// deferredCheck is the content validation a deferred construction
 	// (PartFromViewsDeferred) postponed; EnsureValid runs it exactly once
@@ -144,23 +144,19 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 	}
 	// Each embedding is a pure function of its graph, so the fill
 	// parallelizes freely without affecting the result.
-	ix.embs = make([]*ged.Embedding, count)
+	embs := make([]*ged.Embedding, count)
 	if err := pool.Ranges(ctx, count, workers, 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ix.embs[i] = ged.NewEmbedding(db.Graph(base + graph.ID(i)))
+			embs[i] = ged.NewEmbedding(db.Graph(base + graph.ID(i)))
 		}
 	}); err != nil {
 		return nil, err
 	}
+	if ix.embTab, err = ged.NewTableFromEmbeddings(embs); err != nil {
+		return nil, err
+	}
 	return ix, nil
 }
-
-// Embeddings returns the per-graph filter embeddings, indexed by covered
-// graph ID minus Base(). The engine hands them to the star metric
-// (metric.StarMetric.PrimeEmbeddings) so threshold tests on far pairs
-// resolve from the cached vectors without materializing star signatures.
-// Nil for view-backed indexes, which carry EmbeddingTable instead.
-func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 
 // PartFromViewsDeferred assembles an index part from persisted components —
 // typically zero-copy views over one shard's v4 sections: the vantage
@@ -212,6 +208,7 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 		base:   base,
 		leafOf: leafOf,
 		embTab: embTab,
+		views:  true,
 	}
 	ix.deferredCheck = ix.validateViews
 	return ix, nil
@@ -304,28 +301,22 @@ func (ix *Index) Insert(id graph.ID) error {
 		ix.leafOf[0] = 1
 	}
 	ix.leafOf = append(ix.leafOf, int32(ix.flat.Len()-1))
-	ix.embs = append(ix.embs, ged.NewEmbedding(ix.db.Graph(id)))
-	return nil
+	return ix.embTab.Append(ged.NewEmbedding(ix.db.Graph(id)))
 }
 
 // thaw moves a view-backed index onto the heap so it can be mutated, once:
 // the flat tree and the leaf map are copied off the mapping (Insert writes
-// their elements in place), and the encoded embedding table is decoded into
-// the eager slice. Built indexes are already heap-resident, and a thawed
-// index has no table left, so thaw is a no-op for both. Vantage rows need
-// no thaw: views are handed out with cap == len, so the ordering's sorted
-// insertions reallocate on first append.
+// their elements in place). Built indexes are already heap-resident, so
+// thaw is a no-op for them and for an index already thawed. Vantage rows and
+// the embedding table need no thaw: views are handed out with cap == len,
+// so their appends reallocate on first use.
 func (ix *Index) thaw() {
-	if ix.embTab == nil {
+	if !ix.views {
 		return
 	}
-	embs := make([]*ged.Embedding, ix.embTab.Len())
-	for i := range embs {
-		embs[i] = ix.embTab.At(i)
-	}
-	ix.embs, ix.embTab = embs, nil
 	ix.flat = ix.flat.Clone()
 	ix.leafOf = append([]int32(nil), ix.leafOf...)
+	ix.views = false
 }
 
 // Flat exposes the NB-Tree every query navigates.
@@ -354,22 +345,16 @@ func (ix *Index) LeafIdx(id graph.ID) int { return int(ix.leafOf[id-ix.base]) }
 // index. Read-only; the persistence writer serializes it directly.
 func (ix *Index) LeafOf() []int32 { return ix.leafOf }
 
-// EmbeddingTable returns the encoded embedding table of a view-backed index,
-// or nil when the embeddings live decoded on the heap (see Embeddings).
+// EmbeddingTable returns the encoded filter embeddings, record i for graph
+// Base()+i. The engine hands it to the star metric
+// (metric.StarMetric.PrimeEmbeddingTable) so threshold tests on far pairs
+// resolve from the decoded vectors without materializing star signatures.
 func (ix *Index) EmbeddingTable() *ged.Table { return ix.embTab }
 
 // Bytes approximates the index memory footprint: vantage orderings, the
-// NB-Tree (Fig. 6(l)), and the filter embeddings — encoded table or decoded
-// vectors, whichever form this index carries.
+// NB-Tree (Fig. 6(l)), and the encoded filter embeddings.
 func (ix *Index) Bytes() int64 {
-	b := ix.vo.Bytes() + ix.flat.Bytes()
-	if ix.embTab != nil {
-		return b + ix.embTab.Bytes()
-	}
-	for _, e := range ix.embs {
-		b += e.Bytes()
-	}
-	return b
+	return ix.vo.Bytes() + ix.flat.Bytes() + ix.embTab.Bytes()
 }
 
 // GridSlot returns the position of the smallest indexed threshold ≥ theta,

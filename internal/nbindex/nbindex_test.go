@@ -16,7 +16,6 @@ import (
 	"graphrep/internal/metric"
 	"graphrep/internal/nbindex"
 	"graphrep/internal/shard"
-	"graphrep/internal/vantage"
 )
 
 // clusteredDB builds a database with planted structural families so that
@@ -418,13 +417,14 @@ func TestAccessorsAndFootprint(t *testing.T) {
 }
 
 // VP count ablation: a session built over an index with more VPs must not
-// verify more candidate distances (tighter N̂).
+// verify more candidate distances (tighter N̂). Builds draw random VPs; with
+// the fixed seed the 1-VP set is a prefix of the 8-VP set.
 func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	db, base := clusteredDB(t, 5, 10, 20)
 	relevance := func(f []float64) bool { return f[0] > 0.25 }
 	run := func(numVPs int) int {
 		m := metric.NewCache(base)
-		set, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: numVPs, VPPolicy: vantage.SelectMaxMin, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}}, rand.New(rand.NewSource(21)))
+		set, err := shard.Build(db, m, shard.Options{Shards: 1, NumVPs: numVPs, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}}, rand.New(rand.NewSource(21)))
 		if err != nil {
 			t.Fatal(err)
 		}

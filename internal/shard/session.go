@@ -111,7 +111,7 @@ func newSession(ctx context.Context, set *Set, q core.Relevance) (*Session, erro
 				coords := set.parts[home].VO().Coords(id)
 				row := make([]int32, len(s.grid))
 				for _, part := range set.parts {
-					for _, c := range part.VO().CandidatesWithLBCoords(coords, thetaMax, isRel) {
+					for _, c := range part.VO().CandidatesWithLB(coords, thetaMax, isRel) {
 						slot := sort.SearchFloat64s(s.grid, c.LB)
 						for t := slot; t < len(s.grid); t++ {
 							row[t]++
@@ -314,7 +314,7 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 		coords := parts[s.set.PartFor(g)].VO().Coords(g)
 		lists := make([][]graph.ID, len(parts))
 		for p, part := range parts {
-			lists[p] = part.VO().CandidatesCoords(coords, theta, includeUncovered)
+			lists[p] = part.VO().Candidates(coords, theta, includeUncovered)
 		}
 		return lists
 	}

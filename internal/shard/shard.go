@@ -51,10 +51,8 @@ type Options struct {
 	// size are clamped so no shard is empty.
 	Shards int
 	// NumVPs is the size of the global vantage point set (shared by every
-	// shard).
+	// shard), drawn at random as the paper's FPR analysis assumes.
 	NumVPs int
-	// VPPolicy selects the vantage point policy (default SelectRandom).
-	VPPolicy vantage.SelectionPolicy
 	// Branching is the per-shard NB-Tree fan-out (≥ 2; 0 defaults to 4).
 	Branching int
 	// ThetaGrid lists the thresholds indexed in π̂-vectors, ascending; one
@@ -135,7 +133,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 	if numVPs > db.Len() {
 		numVPs = db.Len()
 	}
-	vps, err := vantage.SelectVPs(db, m, numVPs, opt.VPPolicy, rng)
+	vps, err := vantage.SelectVPs(db, m, numVPs, vantage.SelectRandom, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -210,7 +210,7 @@ func TestMappedStatsEqualHeap(t *testing.T) {
 			heapStar := metric.Star(db)
 			heap := &Set{db: db, m: metric.NewCache(heapStar), grid: built.grid, parts: built.parts}
 			for _, part := range heap.parts {
-				heapStar.PrimeEmbeddings(part.Base(), part.Embeddings())
+				heapStar.PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
 			}
 			mappedStar := metric.Star(db)
 			mapped, err := ReadBytesContext(context.Background(), buf.Bytes(), db, metric.NewCache(mappedStar))

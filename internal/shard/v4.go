@@ -15,14 +15,14 @@ import (
 	"graphrep/internal/vantage"
 )
 
-// Format v4 (NBIDX004): the index in the zero-copy framing of
-// internal/container, readable in place from a byte slice — typically a
-// memory mapping — so opening an index costs O(header + directory), not
-// O(data). The directory's aux field carries the shard: global sections
-// carry shard 0, per-shard sections the 0-based shard number (global and
-// per-shard kinds are disjoint, so the (kind, shard) key is unique). The gob
-// generations before it (NBIDX001–003) are no longer read: an index is a
-// derived cache, rebuilt from the database when unusable.
+// Format NBIDX005: the index in the zero-copy framing of internal/container,
+// readable in place from a byte slice — typically a memory mapping — so
+// opening an index costs O(header + directory), not O(data). The
+// directory's aux field carries the shard: global sections carry shard 0,
+// per-shard sections the 0-based shard number (global and per-shard kinds
+// are disjoint, so the (kind, shard) key is unique). The generations before
+// it (NBIDX001–004) are no longer read: an index is a derived cache, rebuilt
+// from the database when unusable.
 const (
 	// Global sections.
 	secManifest = 1 // u64 shardCount, then per shard u64 base, u64 count
@@ -31,8 +31,8 @@ const (
 	// Per-shard vantage ordering.
 	secVPs     = 10 // i32 vantage point IDs
 	secDist    = 11 // f64 numVPs×count row-major: d(vp, g)
-	secSortedD = 12 // f64 numVPs×count: each row ascending
-	secByDist  = 13 // i32 numVPs×count: IDs in SortedD order
+	secSortedD = 12 // f64 count: vantage-space-0 distances, ascending
+	secByDist  = 13 // i32 count: IDs in SortedD order
 
 	// Per-shard NB-Tree in flattened (parallel-array) form.
 	secTreeMeta    = 20 // u64 ×5: numNodes, exactDists, prunedDists, nodes, leaves
@@ -52,9 +52,9 @@ const (
 	secEmbBlob    = 41 // encoded embedding records, concatenated in ID order
 )
 
-var v4Magic = [8]byte{'N', 'B', 'I', 'D', 'X', '0', '0', '4'}
+var v4Magic = [8]byte{'N', 'B', 'I', 'D', 'X', '0', '0', '5'}
 
-// Encode persists the set in the v4 zero-copy layout. Output bytes are a
+// Encode persists the set in the NBIDX005 zero-copy layout. Output bytes are a
 // pure function of the set's contents — sections are emitted in a fixed
 // order, offsets are derived deterministically, and padding is zero — so they
 // are identical for any build worker count and for either bounded-kernel
@@ -73,42 +73,25 @@ func (s *Set) Encode(w io.Writer) error {
 	add(secManifest, 0, uint64(8*len(manifest)), container.WriteLE(manifest))
 	add(secGrid, 0, uint64(8*len(s.grid)), container.WriteLE(s.grid))
 
-	// Embedding tables are assembled up front: heap-built indexes encode
-	// their vectors once here, view-backed indexes pass their blob through.
-	tabs := make([]*ged.Table, len(s.parts))
-	for p, part := range s.parts {
-		tab := part.EmbeddingTable()
-		if tab == nil {
-			var err error
-			if tab, err = ged.NewTableFromEmbeddings(part.Embeddings()); err != nil {
-				return fmt.Errorf("shard: shard %d: %w", p, err)
-			}
-		}
-		if tab.Len() != part.Count() {
-			return fmt.Errorf("shard: shard %d has %d embeddings for %d graphs", p, tab.Len(), part.Count())
-		}
-		tabs[p] = tab
-	}
-
 	for p, part := range s.parts {
 		sh := uint32(p)
-		vo, f, tab := part.VO(), part.Flat(), tabs[p]
+		vo, f, tab := part.VO(), part.Flat(), part.EmbeddingTable()
 		count, nv, nn := part.Count(), vo.NumVPs(), f.Len()
+		if tab.Len() != count {
+			return fmt.Errorf("shard: shard %d has %d embeddings for %d graphs", p, tab.Len(), count)
+		}
 
 		add(secVPs, sh, uint64(4*nv), container.WriteLE(vo.VPs()))
-		matrix := func(kind uint32, stride uint64, row func(v int) any) {
-			add(kind, sh, stride*uint64(nv)*uint64(count), func(w io.Writer) error {
-				for v := 0; v < nv; v++ {
-					if err := binary.Write(w, binary.LittleEndian, row(v)); err != nil {
-						return err
-					}
+		add(secDist, sh, uint64(8*nv*count), func(w io.Writer) error {
+			for v := 0; v < nv; v++ {
+				if err := binary.Write(w, binary.LittleEndian, vo.DistRow(v)); err != nil {
+					return err
 				}
-				return nil
-			})
-		}
-		matrix(secDist, 8, func(v int) any { return vo.DistRow(v) })
-		matrix(secSortedD, 8, func(v int) any { return vo.SortedRow(v) })
-		matrix(secByDist, 4, func(v int) any { return vo.ByDistRow(v) })
+			}
+			return nil
+		})
+		add(secSortedD, sh, uint64(8*count), container.WriteLE(vo.SortedRow()))
+		add(secByDist, sh, uint64(4*count), container.WriteLE(vo.ByDistRow()))
 
 		st := f.Stats()
 		meta := []uint64{uint64(nn), uint64(st.ExactDistances), uint64(st.PrunedDistances), uint64(st.Nodes), uint64(st.Leaves)}
@@ -130,7 +113,7 @@ func (s *Set) Encode(w io.Writer) error {
 	return container.Write(w, v4Magic, sections)
 }
 
-// ReadBytesContext loads a v4 container directly from a byte slice —
+// ReadBytesContext loads an NBIDX005 container directly from a byte slice —
 // typically a memory mapping, in which case every array the set serves
 // queries from stays a view over the mapping and the load cost is independent
 // of the index size. The caller must keep data alive (and the mapping open)
@@ -143,7 +126,7 @@ func (s *Set) Encode(w io.Writer) error {
 func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
 	if len(data) >= 8 {
 		switch string(data[:8]) {
-		case "NBIDX001", "NBIDX002", "NBIDX003":
+		case "NBIDX001", "NBIDX002", "NBIDX003", "NBIDX004":
 			return nil, fmt.Errorf("shard: index format %s is no longer read; rebuild the index from the database", data[:8])
 		}
 	}

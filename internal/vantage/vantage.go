@@ -7,7 +7,9 @@
 //   - an upper bound on d(a,b): min_v (d(v,a) + d(v,b)),
 //
 // from which the candidate neighborhood N̂(g) ⊇ N_θ(g) of Theorem 5 is
-// computed with |V| array scans and zero edit-distance computations.
+// computed with zero edit-distance computations: one binary-searched window
+// in vantage space 0, filtered by O(1) lookups in the other spaces, finds
+// the same set as intersecting |V| range windows.
 package vantage
 
 import (
@@ -38,21 +40,23 @@ const (
 
 // Ordering holds the vantage orderings of one contiguous ID range of a
 // database: for every vantage point, the distance from that VP to every
-// graph in the range, plus the 1-D orderings used for range scans. A
-// full-database ordering is simply the range [0, n); a shard's ordering
-// covers [base, base+count) while sharing the global vantage point set, so
-// the embedding coordinates of any graph are valid against any shard's
-// sorted views. Ordering is immutable after Build and safe for concurrent
-// use.
+// graph in the range, plus the one sorted view the range scans read — the
+// ordering of vantage space 0. A full-database ordering is simply the range
+// [0, n); a shard's ordering covers [base, base+count) while sharing the
+// global vantage point set, so the embedding coordinates of any graph are
+// valid against any shard's sorted view. Ordering is immutable after Build
+// and safe for concurrent use.
 type Ordering struct {
 	vps []graph.ID
 	// base is the first graph ID covered; dist rows are indexed by id-base.
 	base graph.ID
 	dist [][]float64 // dist[v][g-base] = d(vps[v], g)
-	// byDist[v] lists (global) graph IDs sorted by dist[v][·]; sortedD[v]
-	// carries the matching sorted distances for binary search.
-	byDist  [][]graph.ID
-	sortedD [][]float64
+	// byDist lists the covered (global) graph IDs sorted by dist[0][·];
+	// sortedD carries the matching ascending distances for binary search.
+	// The other vantage spaces need no sorted view: a scan bounds its window
+	// in space 0 and filters it by O(1) lookups into their dist rows.
+	byDist  []graph.ID
+	sortedD []float64
 }
 
 // SelectVPs chooses numVPs vantage points from db under policy.
@@ -128,11 +132,9 @@ func BuildRangeContext(ctx context.Context, db *graph.Database, m metric.Metric,
 		return nil, fmt.Errorf("vantage: range [%d, %d) out of bounds for %d graphs", base, int(base)+count, n)
 	}
 	o := &Ordering{
-		vps:     append([]graph.ID(nil), vps...),
-		base:    base,
-		dist:    make([][]float64, len(vps)),
-		byDist:  make([][]graph.ID, len(vps)),
-		sortedD: make([][]float64, len(vps)),
+		vps:  append([]graph.ID(nil), vps...),
+		base: base,
+		dist: make([][]float64, len(vps)),
 	}
 	for _, vp := range o.vps {
 		if int(vp) < 0 || int(vp) >= n {
@@ -152,24 +154,16 @@ func BuildRangeContext(ctx context.Context, db *graph.Database, m metric.Metric,
 	}); err != nil {
 		return nil, err
 	}
-	// Phase 2: per-VP sorted views, one row per task.
-	if err := pool.Ranges(ctx, len(o.vps), workers, 1, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := o.dist[v]
-			ids := make([]graph.ID, count)
-			for i := range ids {
-				ids[i] = base + graph.ID(i)
-			}
-			sort.Slice(ids, func(a, b int) bool { return row[ids[a]-base] < row[ids[b]-base] })
-			o.byDist[v] = ids
-			sd := make([]float64, count)
-			for i, id := range ids {
-				sd[i] = row[id-base]
-			}
-			o.sortedD[v] = sd
-		}
-	}); err != nil {
-		return nil, err
+	// Phase 2: the sorted view of vantage space 0.
+	row := o.dist[0]
+	o.byDist = make([]graph.ID, count)
+	for i := range o.byDist {
+		o.byDist[i] = base + graph.ID(i)
+	}
+	sort.Slice(o.byDist, func(a, b int) bool { return row[o.byDist[a]-base] < row[o.byDist[b]-base] })
+	o.sortedD = make([]float64, count)
+	for i, id := range o.byDist {
+		o.sortedD[i] = row[id-base]
 	}
 	return o, nil
 }
@@ -192,7 +186,7 @@ func (o *Ordering) VPDistance(v int, g graph.ID) float64 { return o.dist[v][g-o.
 
 // Coords returns g's embedding coordinates — d(vps[v], g) for every vantage
 // point — as a fresh slice. Because shards share one global VP set, the row
-// is valid as a query point against any shard's ordering (CandidatesCoords);
+// is valid as a query point against any shard's ordering (Candidates);
 // this is how a shard session scans the neighborhoods of a graph inside
 // shards that do not own it, with zero extra distance computations.
 func (o *Ordering) Coords(g graph.ID) []float64 {
@@ -228,38 +222,27 @@ func (o *Ordering) UpperBound(a, b graph.ID) float64 {
 	return ub
 }
 
-// Candidates computes N̂_θ(g) ∩ range restricted to the graphs for which
+// Candidates computes N̂_θ(q) ∩ range restricted to the graphs for which
 // include returns true (pass nil to include everything): every covered graph
-// whose vantage distance to g is ≤ θ in all vantage spaces. By Theorem 5 the
-// result is a superset of the true θ-neighborhood N_θ(g) ∩ range ∩ include.
-// g must lie in the ordering's range; for query points owned by another
-// shard use CandidatesCoords with the owner's Coords row.
-func (o *Ordering) Candidates(g graph.ID, theta float64, include func(graph.ID) bool) []graph.ID {
-	return o.candidatesScan(o.dist0(g), func(v int) float64 { return o.dist[v][g-o.base] }, theta, include)
-}
-
-// CandidatesCoords is Candidates for an external query point given by its
-// embedding coordinates (one per vantage point, as returned by Coords on the
-// ordering that owns the graph).
-func (o *Ordering) CandidatesCoords(coords []float64, theta float64, include func(graph.ID) bool) []graph.ID {
-	return o.candidatesScan(coords[0], func(v int) float64 { return coords[v] }, theta, include)
-}
-
-// candidatesScan is the shared scan behind Candidates and CandidatesCoords:
-// binary search bounds the candidate window in the first vantage space, the
-// remaining spaces filter by O(1) lookups.
-func (o *Ordering) candidatesScan(d0 float64, coord func(v int) float64, theta float64, include func(graph.ID) bool) []graph.ID {
-	lo := sort.SearchFloat64s(o.sortedD[0], d0-theta)
-	hi := sort.SearchFloat64s(o.sortedD[0], math.Nextafter(d0+theta, math.Inf(1)))
+// whose vantage distance to the query point is ≤ θ in all vantage spaces. By
+// Theorem 5 the result is a superset of the true θ-neighborhood
+// N_θ(q) ∩ range ∩ include. The query point is given by its embedding
+// coordinates, one per vantage point, as Coords returns them on the ordering
+// that owns the graph — this one or any other shard's. Binary search bounds
+// the window in vantage space 0; the remaining spaces filter it by O(1)
+// lookups.
+func (o *Ordering) Candidates(coords []float64, theta float64, include func(graph.ID) bool) []graph.ID {
+	lo, hi := o.window(coords[0], theta)
 	var out []graph.ID
 scan:
 	for i := lo; i < hi; i++ {
-		id := o.byDist[0][i]
+		id := o.byDist[i]
 		if include != nil && !include(id) {
 			continue
 		}
+		k := id - o.base
 		for v := 1; v < len(o.dist); v++ {
-			if math.Abs(o.dist[v][id-o.base]-coord(v)) > theta {
+			if math.Abs(o.dist[v][k]-coords[v]) > theta {
 				continue scan
 			}
 		}
@@ -271,37 +254,27 @@ scan:
 // Candidate is a candidate neighbor together with its vantage lower bound.
 type Candidate struct {
 	ID graph.ID
-	// LB is the vantage distance max_v |d(v,g) − d(v,ID)| ≤ d(g, ID).
+	// LB is the vantage distance max_v |d(v,q) − d(v,ID)| ≤ d(q, ID).
 	LB float64
 }
 
 // CandidatesWithLB is Candidates returning each candidate's vantage lower
-// bound as well. A candidate with LB ≤ θ' belongs to N̂_θ'(g) for every
+// bound as well. A candidate with LB ≤ θ' belongs to N̂_θ'(q) for every
 // θ' ≤ theta, which lets one scan at the largest indexed threshold populate
 // the whole π̂-vector (Definition 6).
-func (o *Ordering) CandidatesWithLB(g graph.ID, theta float64, include func(graph.ID) bool) []Candidate {
-	return o.candidatesLBScan(o.dist0(g), func(v int) float64 { return o.dist[v][g-o.base] }, theta, include)
-}
-
-// CandidatesWithLBCoords is CandidatesWithLB for an external query point
-// given by its embedding coordinates.
-func (o *Ordering) CandidatesWithLBCoords(coords []float64, theta float64, include func(graph.ID) bool) []Candidate {
-	return o.candidatesLBScan(coords[0], func(v int) float64 { return coords[v] }, theta, include)
-}
-
-func (o *Ordering) candidatesLBScan(d0 float64, coord func(v int) float64, theta float64, include func(graph.ID) bool) []Candidate {
-	lo := sort.SearchFloat64s(o.sortedD[0], d0-theta)
-	hi := sort.SearchFloat64s(o.sortedD[0], math.Nextafter(d0+theta, math.Inf(1)))
+func (o *Ordering) CandidatesWithLB(coords []float64, theta float64, include func(graph.ID) bool) []Candidate {
+	lo, hi := o.window(coords[0], theta)
 	var out []Candidate
 scan:
 	for i := lo; i < hi; i++ {
-		id := o.byDist[0][i]
+		id := o.byDist[i]
 		if include != nil && !include(id) {
 			continue
 		}
-		lb := math.Abs(o.sortedD[0][i] - d0)
+		lb := math.Abs(o.sortedD[i] - coords[0])
+		k := id - o.base
 		for v := 1; v < len(o.dist); v++ {
-			d := math.Abs(o.dist[v][id-o.base] - coord(v))
+			d := math.Abs(o.dist[v][k] - coords[v])
 			if d > theta {
 				continue scan
 			}
@@ -314,8 +287,13 @@ scan:
 	return out
 }
 
-// dist0 returns g's coordinate in the first vantage space.
-func (o *Ordering) dist0(g graph.ID) float64 { return o.dist[0][g-o.base] }
+// window returns the range [lo, hi) of the sorted view whose vantage-space-0
+// distances lie within theta of d0.
+func (o *Ordering) window(d0, theta float64) (lo, hi int) {
+	lo = sort.SearchFloat64s(o.sortedD, d0-theta)
+	hi = sort.SearchFloat64s(o.sortedD, math.Nextafter(d0+theta, math.Inf(1)))
+	return lo, hi
+}
 
 // FPRSample measures the observed false positive rate of the embedding: the
 // fraction of candidate pairs (within vantage distance θ) that are not true
@@ -326,7 +304,7 @@ func (o *Ordering) FPRSample(m metric.Metric, theta float64, samples int, rng *r
 	candidates, falsePos := 0, 0
 	for s := 0; s < samples; s++ {
 		g := o.base + graph.ID(rng.Intn(n))
-		for _, id := range o.Candidates(g, theta, nil) {
+		for _, id := range o.Candidates(o.Coords(g), theta, nil) {
 			if id == g {
 				continue
 			}
@@ -343,30 +321,31 @@ func (o *Ordering) FPRSample(m metric.Metric, theta float64, samples int, rng *r
 }
 
 // Insert extends the ordering with a newly appended database graph: one
-// distance computation per vantage point plus a sorted insertion into each
-// vantage ordering. The graph's ID must equal Base()+Len() (the next ID in
-// the ordering's contiguous range). Not safe concurrently with reads.
+// distance computation per vantage point plus a sorted insertion into the
+// vantage-space-0 view. The graph's ID must equal Base()+Len() (the next ID
+// in the ordering's contiguous range). Not safe concurrently with reads.
 func (o *Ordering) Insert(id graph.ID, m metric.Metric) error {
 	if int(id-o.base) != o.Len() {
 		return fmt.Errorf("vantage: inserting id %d, want %d", id, int(o.base)+o.Len())
 	}
 	for v, vp := range o.vps {
-		d := m.Distance(vp, id)
-		o.dist[v] = append(o.dist[v], d)
-		pos := sort.SearchFloat64s(o.sortedD[v], d)
-		o.sortedD[v] = append(o.sortedD[v], 0)
-		copy(o.sortedD[v][pos+1:], o.sortedD[v][pos:])
-		o.sortedD[v][pos] = d
-		o.byDist[v] = append(o.byDist[v], 0)
-		copy(o.byDist[v][pos+1:], o.byDist[v][pos:])
-		o.byDist[v][pos] = id
+		o.dist[v] = append(o.dist[v], m.Distance(vp, id))
 	}
+	d := o.dist[0][id-o.base]
+	pos := sort.SearchFloat64s(o.sortedD, d)
+	o.sortedD = append(o.sortedD, 0)
+	copy(o.sortedD[pos+1:], o.sortedD[pos:])
+	o.sortedD[pos] = d
+	o.byDist = append(o.byDist, 0)
+	copy(o.byDist[pos+1:], o.byDist[pos:])
+	o.byDist[pos] = id
 	return nil
 }
 
 // Bytes returns the approximate memory footprint of the ordering: the VO
-// storage cost O(|V|·|D|) from the paper's storage analysis.
+// storage cost O(|V|·|D|) from the paper's storage analysis — one distance
+// row per vantage point plus the sorted view (an ID and a distance per
+// graph).
 func (o *Ordering) Bytes() int64 {
-	per := int64(o.Len()) * (8 + 4 + 8) // dist + id + sorted distance
-	return per * int64(o.NumVPs())
+	return int64(o.Len()) * (8*int64(o.NumVPs()) + 4 + 8)
 }

@@ -147,7 +147,7 @@ func TestCandidatesSuperset(t *testing.T) {
 		g := graph.ID(r.Intn(db.Len()))
 		theta := r.Float64() * 10
 		cands := make(map[graph.ID]bool)
-		for _, id := range o.Candidates(g, theta, nil) {
+		for _, id := range o.Candidates(o.Coords(g), theta, nil) {
 			cands[id] = true
 		}
 		for i := 0; i < db.Len(); i++ {
@@ -169,13 +169,13 @@ func TestCandidatesIncludeFilter(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	even := func(id graph.ID) bool { return id%2 == 0 }
-	for _, id := range o.Candidates(10, 5, even) {
+	for _, id := range o.Candidates(o.Coords(10), 5, even) {
 		if id%2 != 0 {
 			t.Errorf("filter leaked id %d", id)
 		}
 	}
-	all := o.Candidates(10, 5, nil)
-	filtered := o.Candidates(10, 5, even)
+	all := o.Candidates(o.Coords(10), 5, nil)
+	filtered := o.Candidates(o.Coords(10), 5, even)
 	if len(filtered) >= len(all) {
 		t.Errorf("filter did not shrink candidates: %d vs %d", len(filtered), len(all))
 	}
@@ -186,7 +186,7 @@ func TestCandidatesSelfIncluded(t *testing.T) {
 	o, _ := Build(db, m, []graph.ID{0})
 	for i := 0; i < db.Len(); i++ {
 		found := false
-		for _, id := range o.Candidates(graph.ID(i), 0, nil) {
+		for _, id := range o.Candidates(o.Coords(graph.ID(i)), 0, nil) {
 			if id == graph.ID(i) {
 				found = true
 			}
@@ -205,8 +205,8 @@ func TestMoreVPsTightenCandidates(t *testing.T) {
 	many, _ := Build(db, m, vps)
 	totalFew, totalMany := 0, 0
 	for i := 0; i < db.Len(); i += 5 {
-		totalFew += len(few.Candidates(graph.ID(i), 4, nil))
-		totalMany += len(many.Candidates(graph.ID(i), 4, nil))
+		totalFew += len(few.Candidates(few.Coords(graph.ID(i)), 4, nil))
+		totalMany += len(many.Candidates(many.Coords(graph.ID(i)), 4, nil))
 	}
 	if totalMany > totalFew {
 		t.Errorf("more VPs produced more candidates: %d vs %d", totalMany, totalFew)
@@ -226,8 +226,8 @@ func TestCandidatesWithLB(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := graph.ID(rng.Intn(db.Len()))
 		theta := rng.Float64() * 8
-		plain := o.Candidates(g, theta, nil)
-		withLB := o.CandidatesWithLB(g, theta, nil)
+		plain := o.Candidates(o.Coords(g), theta, nil)
+		withLB := o.CandidatesWithLB(o.Coords(g), theta, nil)
 		if len(plain) != len(withLB) {
 			t.Fatalf("candidate counts differ: %d vs %d", len(plain), len(withLB))
 		}
@@ -248,7 +248,7 @@ func TestCandidatesWithLB(t *testing.T) {
 	}
 	// The include filter applies here too.
 	even := func(id graph.ID) bool { return id%2 == 0 }
-	for _, c := range o.CandidatesWithLB(10, 5, even) {
+	for _, c := range o.CandidatesWithLB(o.Coords(10), 5, even) {
 		if c.ID%2 != 0 {
 			t.Errorf("filter leaked id %d", c.ID)
 		}
@@ -301,7 +301,7 @@ func TestUniformSpaceFPRBracketing(t *testing.T) {
 	count := func(o *Ordering) (cands, falsePos int) {
 		for s := 0; s < 150; s++ {
 			g := graph.ID(rng.Intn(n))
-			for _, id := range o.Candidates(g, theta, nil) {
+			for _, id := range o.Candidates(o.Coords(g), theta, nil) {
 				if id == g {
 					continue
 				}

@@ -7,14 +7,14 @@ import (
 )
 
 // FromViewsDeferred assembles an Ordering from persisted arrays — typically
-// zero-copy views over v4 index sections. dist and sortedD are row-major
-// len(vps)×count matrices, byDist the matching ID matrix; rows are sliced out
-// with capacity clipped to the row, so an Insert-time append on any row
-// reallocates instead of growing into its neighbor (or through a mapping).
-// It checks only the shape invariants (non-empty, matrix dimensions) in O(1)
-// and defers the content scan to Validate, keeping a mapped open independent
-// of index size. The Ordering must not serve lookups until Validate has
-// passed.
+// zero-copy views over index sections. dist is the row-major len(vps)×count
+// distance matrix; sortedD and byDist are the count-long sorted view of
+// vantage space 0. Rows are sliced out with capacity clipped to the row, so
+// an Insert-time append on any row reallocates instead of growing into its
+// neighbor (or through a mapping). It checks only the shape invariants
+// (non-empty, array lengths) in O(1) and defers the content scan to
+// Validate, keeping a mapped open independent of index size. The Ordering
+// must not serve lookups until Validate has passed.
 func FromViewsDeferred(vps []graph.ID, base graph.ID, count int, dist, sortedD []float64, byDist []graph.ID) (*Ordering, error) {
 	if len(vps) == 0 {
 		return nil, fmt.Errorf("vantage: no vantage points")
@@ -25,35 +25,32 @@ func FromViewsDeferred(vps []graph.ID, base graph.ID, count int, dist, sortedD [
 	if base < 0 {
 		return nil, fmt.Errorf("vantage: base %d", base)
 	}
-	want := len(vps) * count
-	if len(dist) != want || len(sortedD) != want || len(byDist) != want {
-		return nil, fmt.Errorf("vantage: matrices of %d/%d/%d values, want %d (%d VPs × %d graphs)",
-			len(dist), len(sortedD), len(byDist), want, len(vps), count)
+	if len(dist) != len(vps)*count || len(sortedD) != count || len(byDist) != count {
+		return nil, fmt.Errorf("vantage: %d distances and a sorted view of %d/%d entries, want %d (%d VPs × %d graphs) and %d",
+			len(dist), len(sortedD), len(byDist), len(vps)*count, len(vps), count, count)
 	}
 	o := &Ordering{
 		vps:     vps,
 		base:    base,
 		dist:    make([][]float64, len(vps)),
-		byDist:  make([][]graph.ID, len(vps)),
-		sortedD: make([][]float64, len(vps)),
+		byDist:  byDist[:count:count],
+		sortedD: sortedD[:count:count],
 	}
 	for v := range vps {
 		lo, hi := v*count, (v+1)*count
 		o.dist[v] = dist[lo:hi:hi]
-		o.sortedD[v] = sortedD[lo:hi:hi]
-		o.byDist[v] = byDist[lo:hi:hi]
 	}
 	return o, nil
 }
 
 // Validate runs the O(count) content scan a deferred construction skipped:
-// byDist's first row — the only row whose entries are used as array
-// indices — must stay inside [base, base+count). Distance values are used
-// only as comparands, so corrupt values can skew answers but never fault;
-// deeper consistency is the compat tests' job, not the load path's.
+// byDist — the only array whose entries are used as array indices — must
+// stay inside [base, base+count). Distance values are used only as
+// comparands, so corrupt values can skew answers but never fault; deeper
+// consistency is the compat tests' job, not the load path's.
 func (o *Ordering) Validate() error {
-	base, count := o.base, len(o.byDist[0])
-	for _, id := range o.byDist[0] {
+	base, count := o.base, len(o.byDist)
+	for _, id := range o.byDist {
 		if id < base || int(id-base) >= count {
 			return fmt.Errorf("vantage: ordering entry %d outside covered range [%d, %d)", id, base, int(base)+count)
 		}
@@ -65,9 +62,9 @@ func (o *Ordering) Validate() error {
 // by g−Base(). Read-only; the persistence writer serializes rows directly.
 func (o *Ordering) DistRow(v int) []float64 { return o.dist[v] }
 
-// SortedRow returns the ascending distance row of vantage point v. Read-only.
-func (o *Ordering) SortedRow(v int) []float64 { return o.sortedD[v] }
+// SortedRow returns the ascending distances of vantage space 0. Read-only.
+func (o *Ordering) SortedRow() []float64 { return o.sortedD }
 
-// ByDistRow returns the graph IDs of vantage point v's ordering, sorted by
-// distance (matching SortedRow). Read-only.
-func (o *Ordering) ByDistRow(v int) []graph.ID { return o.byDist[v] }
+// ByDistRow returns the covered graph IDs in vantage-space-0 order (matching
+// SortedRow). Read-only.
+func (o *Ordering) ByDistRow() []graph.ID { return o.byDist }
